@@ -161,11 +161,15 @@ def big_hermite(n: int) -> XSPoly:
     return _xsd_power(n).apply(XSPoly.one())
 
 
-def _lucas_coeff(n: int, k: int) -> IntPoly:
-    """Coefficient of s^k x^(n-2k) in L_n for n > 0:
-    q^(C(k,2)) ([n]/[n-k]) [n-k k], made exact via to_polynomial."""
-    ratio = QScalar(q_integer(n), q_integer(n - k)) * gauss_binomial(n - k, k)
-    return IntPoly.q_power(math.comb(k, 2)) * to_polynomial(ratio)
+def _lucas_k_term(n: int, k: int, j: int) -> IntPoly:
+    """Coefficient of s^j x^(n-2j) in L_n^(k), for 0 <= 2j <= n:
+    q^(C(j,2)) ([n+k]/[n+k-j]) [n+k-j k] [n-j j], made exact via
+    to_polynomial; L_0^(k) = 1 resolves the formal 0/0 at n = k = 0."""
+    if n == 0:
+        return ONE
+    ratio = QScalar(q_integer(n + k), q_integer(n + k - j)) \
+        * gauss_binomial(n + k - j, k) * gauss_binomial(n - j, j)
+    return IntPoly.q_power(math.comb(j, 2)) * to_polynomial(ratio)
 
 
 @lru_cache(maxsize=None)
@@ -173,26 +177,17 @@ def lucas(n: int) -> XSPoly:
     """q-Lucas polynomial L_n, with L_0 = 1."""
     if n < 0:
         raise ValueError("lucas requires n >= 0")
-    if n == 0:
-        return XSPoly.one()
-    return XSPoly({(n - 2 * k, k): _lucas_coeff(n, k) for k in range(n // 2 + 1)})
+    return lucas_k(n, 0)
 
 
 @lru_cache(maxsize=None)
 def lucas_k(n: int, k: int) -> XSPoly:
     """Generalized q-Lucas polynomial L_n^(k):
     sum_j q^(C(j,2)) ([n+k]/[n+k-j]) [n+k-j k] [n-j j] s^j x^(n-2j),
-    with L_0^(k) = 1.  lucas_k(n, 0) equals lucas(n)."""
+    with L_0^(k) = 1.  lucas_k(n, 0) is lucas(n)."""
     if n < 0 or k < 0:
         raise ValueError("lucas_k requires n, k >= 0")
-    if n == 0:
-        return XSPoly.one()
-    terms = {}
-    for j in range(n // 2 + 1):
-        ratio = QScalar(q_integer(n + k), q_integer(n + k - j)) \
-            * gauss_binomial(n + k - j, k) * gauss_binomial(n - j, j)
-        terms[(n - 2 * j, j)] = IntPoly.q_power(math.comb(j, 2)) * to_polynomial(ratio)
-    return XSPoly(terms)
+    return XSPoly({(n - 2 * j, j): _lucas_k_term(n, k, j) for j in range(n // 2 + 1)})
 
 
 def a_coeff(n: int, k: int) -> XSPoly:
@@ -208,52 +203,22 @@ def a_coeff(n: int, k: int) -> XSPoly:
 
 
 def hermite_lucas_expand(n: int) -> XSPoly:
-    """sum_j C(n, j) s^j L_(n-2j)(x, -s); equals big_hermite(n) with s
-    replaced by (1-q)s.  Ordinary binomials."""
+    """sum_j C(n, j) s^j L_(n-2j)(x, -s), which is a_coeff(n, 0); equals
+    big_hermite(n) with s replaced by (1-q)s.  Ordinary binomials."""
     if n < 0:
         raise ValueError("hermite_lucas_expand requires n >= 0")
-    result = XSPoly.zero()
-    for j in range(n // 2 + 1):
-        result = result + lucas(n - 2 * j).scale_s(-1).shift(0, j, math.comb(n, j))
-    return result
+    return a_coeff(n, 0)
 
 
-def _lucas_k_term(n_idx: int, k: int, j: int) -> QScalar:
-    """Coefficient of s^j x^(n_idx-2j) in L^(k)_(n_idx); honors the
-    L_0^(k) = 1 initial value (resolving the formal 0/0 at n_idx = 0, k = 0)."""
-    if n_idx < 0 or j < 0 or 2 * j > n_idx:
-        return QScalar(0)
-    if n_idx == 0:
-        return QScalar(1) if j == 0 else QScalar(0)
-    ratio = QScalar(q_integer(n_idx + k), q_integer(n_idx + k - j))
-    return q_pow(math.comb(j, 2)) * ratio \
-        * gauss_binomial(n_idx + k - j, k) * gauss_binomial(n_idx - j, j)
-
-
-def _qweyl_closed_sum(n: int, m: int, l: int) -> QScalar:
-    """The alternating binomial sum for the q-Weyl binomial, before the
-    1/(1-q)^l prefactor."""
-    total = QScalar(0)
+def _qweyl_closed(n: int, m: int, l: int) -> IntPoly:
+    """The alternating binomial sum of generalized Lucas coefficients,
+    sum_i (-1)^(l-i) C(n, i) [s^(l-i)] L^(m-l)_(n-2i-(m-l)), over (1-q)^l."""
+    total = ZERO
     for i in range(l + 1):
         sign = -1 if (l - i) % 2 else 1
         term = _lucas_k_term(n - 2 * i - (m - l), m - l, l - i)
         total = total + sign * math.comb(n, i) * term
-    return total
-
-
-def _qweyl_closed(n: int, m: int, l: int) -> IntPoly:
-    prefactor = QScalar(ONE, ONE_MINUS_Q ** l)
-    return to_polynomial(prefactor * _qweyl_closed_sum(n, m, l))
-
-
-def _qweyl_diagonal(n: int, l: int) -> IntPoly:
-    """The m = l special case, from which the general coefficient factors."""
-    total = QScalar(0)
-    for i in range(l + 1):
-        sign = -1 if (l - i) % 2 else 1
-        term = _lucas_k_term(n - 2 * i, 0, l - i)
-        total = total + sign * math.comb(n, i) * term
-    return to_polynomial(QScalar(ONE, ONE_MINUS_Q ** l) * total)
+    return to_polynomial(QScalar(total, ONE_MINUS_Q ** l))
 
 
 _QWEYL_ROWS: list[dict[tuple[int, int], IntPoly]] = [{(0, 0): ONE}]
@@ -289,7 +254,7 @@ def qweyl_binomial(n: int, m: int, l: int, path: str = "closed") -> IntPoly:
 
     Three independent computation paths must agree:
       closed     -- the alternating binomial sum with the 1/(1-q)^l prefactor;
-      factored   -- Gaussian binomial times the m = l diagonal value;
+      factored   -- Gaussian binomial times the m = l value of the closed sum;
       recurrence -- the memoized three-term-recurrence triangle.
     """
     if n < 0:
@@ -299,7 +264,7 @@ def qweyl_binomial(n: int, m: int, l: int, path: str = "closed") -> IntPoly:
     if path == "closed":
         return _qweyl_closed(n, m, l)
     if path == "factored":
-        return gauss_binomial(n - 2 * l, m - l) * _qweyl_diagonal(n, l)
+        return gauss_binomial(n - 2 * l, m - l) * _qweyl_closed(n, l, l)
     if path == "recurrence":
         return _qweyl_row(n).get((m, l), ZERO)
     raise ValueError(f"unknown path {path!r}; expected one of {QWEYL_PATHS}")

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
-from .polyring import XSPoly
+from .polyring import XSPoly, _is_plain
 from .qarith import (
     QScalar,
     QSCALAR_ONE,
@@ -220,15 +220,6 @@ class NormalOp:
                     out[key] = out.get(key, QSCALAR_ZERO) + c12 * c
         return NormalOp(self.twist, out)
 
-    def power(self, n: int) -> "NormalOp":
-        """n-fold composition with itself; power(0) is the identity."""
-        if n < 0:
-            raise ValueError("operator power must be nonnegative")
-        result = NormalOp.identity(self.twist)
-        for _ in range(n):
-            result = result * self
-        return result
-
     def apply(self, p: XSPoly) -> XSPoly:
         """Act on a polynomial: X multiplies by x, D is the q-derivative,
         s powers multiply by s^m.  The twist should be the symbolic q for
@@ -287,14 +278,14 @@ class NormalOp:
             if b:
                 factors.append("D" if b == 1 else f"D^{b}")
             cs = str(c)
-            plain = not (cs.startswith("(") or cs.startswith("-")
-                         or "+" in cs or "-" in cs)
+            if not _is_plain(cs):
+                cs = f"({cs})"
             if not factors:
-                pieces.append(cs if plain else f"({cs})")
+                pieces.append(cs)
             elif c == QSCALAR_ONE:
                 pieces.append("*".join(factors))
             else:
-                pieces.append("*".join([cs if plain else f"({cs})"] + factors))
+                pieces.append("*".join([cs] + factors))
         return " + ".join(pieces)
 
 
@@ -334,4 +325,10 @@ def product(factors: Sequence[NormalOp], twist: QScalar | None = None) -> Normal
 
 
 def power(base: NormalOp, n: int) -> NormalOp:
-    return base.power(n)
+    """n-fold composition of base with itself; power(base, 0) is the identity."""
+    if n < 0:
+        raise ValueError("operator power must be nonnegative")
+    result = NormalOp.identity(base.twist)
+    for _ in range(n):
+        result = result * base
+    return result

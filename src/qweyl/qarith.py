@@ -84,7 +84,8 @@ class IntPoly:
         return self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        # a constant equals its int, so it must hash like it
+        return hash(self.coeffs) if len(self.coeffs) > 1 else hash(self.lead)
 
     def __neg__(self) -> "IntPoly":
         return IntPoly(tuple(-c for c in self.coeffs))
@@ -316,6 +317,9 @@ class QScalar:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
+        # with denominator 1 the value equals its numerator, so hash like it
+        if self.den.coeffs == (1,):
+            return hash(self.num)
         return hash((self.num.coeffs, self.den.coeffs))
 
     def __neg__(self) -> "QScalar":

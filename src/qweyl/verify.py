@@ -14,9 +14,10 @@ single-coefficient errors.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .families import (
     ONE_MINUS_Q,
@@ -75,15 +76,6 @@ def _sd_pow(k: int, twist) -> NormalOp:
     return NormalOp(twist, {(0, k, k): 1})
 
 
-def _mult(p: XSPoly, twist) -> NormalOp:
-    return NormalOp.from_polynomial(p, twist)
-
-
-def _comb(n: int, k: int) -> int:
-    import math
-    return math.comb(n, k)
-
-
 # ---------------------------------------------------------------------------
 # Theorem cases: operator identities, engine on the left, closed forms right.
 # ---------------------------------------------------------------------------
@@ -94,7 +86,8 @@ def _case_t1(n_max: int) -> Iterator[Comparison]:
         lhs = _xsd_power(n).specialize_q(1)
         rhs = NormalOp(TWIST_ONE, {})
         for k in range(n + 1):
-            rhs = rhs + (_mult(hermite(n - k), TWIST_ONE) * _sd_pow(k, TWIST_ONE)).scale(_comb(n, k))
+            term = NormalOp.from_polynomial(hermite(n - k), TWIST_ONE) * _sd_pow(k, TWIST_ONE)
+            rhs = rhs + term.scale(math.comb(n, k))
         yield n, lhs.terms, rhs.terms
 
 
@@ -116,7 +109,7 @@ def _case_t2(n_max: int) -> Iterator[Comparison]:
         op = affine_factor(q_pow(n - 1), TWIST_Q) * op
         rhs = NormalOp(TWIST_Q, {})
         for k in range(n + 1):
-            rhs = rhs + _mult(g_coeff(n, k), TWIST_Q) * _sd_pow(k, TWIST_Q)
+            rhs = rhs + NormalOp.from_polynomial(g_coeff(n, k), TWIST_Q) * _sd_pow(k, TWIST_Q)
         yield n, op.terms, rhs.terms
 
 
@@ -140,7 +133,8 @@ def _case_t3(n_max: int) -> Iterator[Comparison]:
         rhs = NormalOp(TWIST_Q, {})
         for k in range(n + 1):
             scale = QScalar(gauss_binomial(n, k)) * q_pow(k * n)
-            rhs = rhs + (_mult(h_poly(n - k), TWIST_Q) * _sd_pow(k, TWIST_Q)).scale(scale)
+            term = NormalOp.from_polynomial(h_poly(n - k), TWIST_Q) * _sd_pow(k, TWIST_Q)
+            rhs = rhs + term.scale(scale)
         yield n, op.terms, rhs.terms
 
 
@@ -165,7 +159,8 @@ def _case_t4(n_max: int) -> Iterator[Comparison]:
         rhs = NormalOp(TWIST_Q, {})
         for k in range(n + 1):
             scale = QScalar(ONE_MINUS_Q) ** k
-            rhs = rhs + (_mult(a_coeff(n, k), TWIST_Q) * _sd_pow(k, TWIST_Q)).scale(scale)
+            term = NormalOp.from_polynomial(a_coeff(n, k), TWIST_Q) * _sd_pow(k, TWIST_Q)
+            rhs = rhs + term.scale(scale)
         yield n, op.terms, rhs.terms
 
 
@@ -198,7 +193,7 @@ def _case_sym_113(n_max: int) -> Iterator[Comparison]:
                 lhs[(m, j, 0)] = w
                 rhs[(m, j, 0)] = QScalar(weyl_binomial(n, n - m, j))
                 lhs[(m, j, 1)] = w
-                rhs[(m, j, 1)] = QScalar(_comb(n - 2 * j, m - j) * weyl_binomial(n, j, j))
+                rhs[(m, j, 1)] = QScalar(math.comb(n - 2 * j, m - j) * weyl_binomial(n, j, j))
         yield n, lhs, rhs
 
 
@@ -295,56 +290,57 @@ def _case_q1_collapse(n_max: int) -> Iterator[Comparison]:
         yield n, lhs, rhs
 
 
-THEOREM_CASES: dict[str, Callable[[int], Iterator[Comparison]]] = {
-    "T1": _case_t1,
-    "T2": _case_t2,
-    "T3": _case_t3,
-    "T4": _case_t4,
-    "C1": _case_c1,
-    "C2": _case_c2,
-    "C3": _case_c3,
-}
+class _Case(NamedTuple):
+    check: Callable[[int], Iterator[Comparison]]
+    n_max: int     # stated range
+    start: int     # first n the case checks
+    theorem: bool  # run through verify_theorem (uncapped), else verify_identity
 
-IDENTITY_CASES: dict[str, Callable[[int], Iterator[Comparison]]] = {
-    "H-deriv-1.9": _case_h_deriv,
-    "op-1.10": _case_op_110,
-    "sym-1.13": _case_sym_113,
-    "h-closed-2.1-vs-2.3": _case_h_closed,
-    "exp-2.6": _case_exp_26,
-    "dq-2.7": _case_dq_27,
-    "rec-2.8": _case_rec_28,
-    "rec-3.3": _case_rec_33,
-    "scale-3": _case_scale_3,
-    "lucas-4.4-4.6": _case_lucas,
-    "expand-4.7": _case_expand_47,
-    "closed-4.14": _case_closed_414,
-    "factor-4.16": _qweyl_pair_case("closed", "factored"),
-    "rec-4.17": _qweyl_pair_case("closed", "recurrence"),
-    "q1-collapse": _case_q1_collapse,
-}
 
 # Stated ranges: 10 for the integer-arithmetic theorem, 8 where q-polynomial
 # products grow, 12 for the recurrence/derivative suite, 10 for the
-# q-Weyl-binomial chain.
-DEFAULT_N_MAX: dict[str, int] = {
-    "T1": 10, "C1": 10,
-    "T2": 8, "C2": 8, "T3": 8, "C3": 8, "T4": 8,
-    "H-deriv-1.9": 12, "op-1.10": 12, "sym-1.13": 12,
-    "h-closed-2.1-vs-2.3": 8,
-    "exp-2.6": 12, "dq-2.7": 12, "rec-2.8": 12, "rec-3.3": 12, "scale-3": 12,
-    "lucas-4.4-4.6": 12,
-    "expand-4.7": 10, "closed-4.14": 10, "factor-4.16": 10, "rec-4.17": 10,
-    "q1-collapse": 10,
+# q-Weyl-binomial chain.  The order here is the report order.
+CASES: dict[str, _Case] = {
+    "T1": _Case(_case_t1, 10, 1, True),
+    "T2": _Case(_case_t2, 8, 1, True),
+    "T3": _Case(_case_t3, 8, 1, True),
+    "T4": _Case(_case_t4, 8, 1, True),
+    "C1": _Case(_case_c1, 10, 1, True),
+    "C2": _Case(_case_c2, 8, 1, True),
+    "C3": _Case(_case_c3, 8, 1, True),
+    "H-deriv-1.9": _Case(_case_h_deriv, 12, 1, False),
+    "op-1.10": _Case(_case_op_110, 12, 1, False),
+    "sym-1.13": _Case(_case_sym_113, 12, 1, False),
+    "h-closed-2.1-vs-2.3": _Case(_case_h_closed, 8, 1, False),
+    "exp-2.6": _Case(_case_exp_26, 12, 1, False),
+    "dq-2.7": _Case(_case_dq_27, 12, 1, False),
+    "rec-2.8": _Case(_case_rec_28, 12, 2, False),
+    "rec-3.3": _Case(_case_rec_33, 12, 1, False),
+    "scale-3": _Case(_case_scale_3, 12, 1, False),
+    "lucas-4.4-4.6": _Case(_case_lucas, 12, 0, False),
+    "expand-4.7": _Case(_case_expand_47, 10, 1, False),
+    "closed-4.14": _Case(_case_closed_414, 10, 1, False),
+    "factor-4.16": _Case(_qweyl_pair_case("closed", "factored"), 10, 1, False),
+    "rec-4.17": _Case(_qweyl_pair_case("closed", "recurrence"), 10, 1, False),
+    "q1-collapse": _Case(_case_q1_collapse, 10, 1, False),
 }
 
-ALL_CASE_IDS: tuple[str, ...] = tuple(THEOREM_CASES) + tuple(IDENTITY_CASES)
+ALL_CASE_IDS: tuple[str, ...] = tuple(CASES)
+DEFAULT_N_MAX: dict[str, int] = {case_id: case.n_max for case_id, case in CASES.items()}
 
-_CASE_START: dict[str, int] = {"rec-2.8": 2, "lucas-4.4-4.6": 0}
 
-
-def _run_case(case_id: str, case: Callable[[int], Iterator[Comparison]],
-              n_max: int, fault_seed: Optional[int]) -> VerificationReport:
-    comparisons = list(case(n_max))
+def _run_case(case_id: str, n_max: int, fault_seed: Optional[int],
+              theorem: bool) -> VerificationReport:
+    case = CASES.get(case_id)
+    if case is None or case.theorem != theorem:
+        kind = "theorem" if theorem else "identity"
+        expected = tuple(i for i, c in CASES.items() if c.theorem == theorem)
+        raise ValueError(f"unknown {kind} case {case_id!r}; expected one of {expected}")
+    if n_max < 1:
+        raise ValueError("n_max must be positive")
+    if not theorem:
+        n_max = min(n_max, case.n_max)
+    comparisons = list(case.check(n_max))
     if fault_seed is not None:
         rng = random.Random(fault_seed)
         slots = [(i, key)
@@ -357,54 +353,40 @@ def _run_case(case_id: str, case: Callable[[int], Iterator[Comparison]],
         mutated = dict(rhs)
         mutated[key] = -mutated[key]
         comparisons[idx] = (n, lhs, mutated)
-    start = _CASE_START.get(case_id, 1)
     for n, lhs, rhs in comparisons:
         for key in sorted(set(lhs) | set(rhs)):
             lv = lhs.get(key, QSCALAR_ZERO)
             rv = rhs.get(key, QSCALAR_ZERO)
             if lv != rv:
                 failure = FirstFailure(n=n, term=tuple(key), lhs=str(lv), rhs=str(rv))
-                return VerificationReport(case_id, (start, n_max), "fail", failure)
-    return VerificationReport(case_id, (start, n_max), "pass", None)
+                return VerificationReport(case_id, (case.start, n_max), "fail", failure)
+    return VerificationReport(case_id, (case.start, n_max), "pass", None)
 
 
 def verify_theorem(case_id: str, n_max: int,
                    fault_seed: Optional[int] = None) -> VerificationReport:
     """Check one operator identity (T1-T4) or coefficient corollary (C1-C3)
     for every n up to n_max."""
-    if case_id not in THEOREM_CASES:
-        raise ValueError(f"unknown theorem case {case_id!r}; expected one of {tuple(THEOREM_CASES)}")
-    if n_max < 1:
-        raise ValueError("n_max must be positive")
-    return _run_case(case_id, THEOREM_CASES[case_id], n_max, fault_seed)
+    return _run_case(case_id, n_max, fault_seed, theorem=True)
 
 
 def verify_identity(case_id: str, n_max: int,
                     fault_seed: Optional[int] = None) -> VerificationReport:
     """Check one recurrence/derivative/collapse identity over its stated
     range, capped at n_max."""
-    if case_id not in IDENTITY_CASES:
-        raise ValueError(f"unknown identity case {case_id!r}; expected one of {tuple(IDENTITY_CASES)}")
-    if n_max < 1:
-        raise ValueError("n_max must be positive")
-    effective = min(n_max, DEFAULT_N_MAX[case_id])
-    return _run_case(case_id, IDENTITY_CASES[case_id], effective, fault_seed)
+    return _run_case(case_id, n_max, fault_seed, theorem=False)
 
 
 def run_cases(case_ids: Optional[Iterable[str]] = None,
               n_max: Optional[int] = None) -> list[VerificationReport]:
     """Run selected cases (default: all) at their stated ranges, capped at
     n_max when given.  Reports come back in a fixed case order."""
-    ids = list(case_ids) if case_ids is not None else list(ALL_CASE_IDS)
     reports = []
-    for case_id in ids:
-        limit = DEFAULT_N_MAX.get(case_id)
-        if limit is None:
+    for case_id in ALL_CASE_IDS if case_ids is None else case_ids:
+        case = CASES.get(case_id)
+        if case is None:
             raise ValueError(f"unknown case {case_id!r}")
-        if n_max is not None:
-            limit = min(limit, n_max)
-        if case_id in THEOREM_CASES:
-            reports.append(verify_theorem(case_id, limit))
-        else:
-            reports.append(verify_identity(case_id, limit))
+        limit = case.n_max if n_max is None else min(case.n_max, n_max)
+        verify = verify_theorem if case.theorem else verify_identity
+        reports.append(verify(case_id, limit))
     return reports

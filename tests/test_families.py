@@ -231,8 +231,12 @@ class TestACoeff:
         assert a_coeff(2, 1) == XSPoly.monomial(1, 0, IntPoly([1, 1]))
 
     def test_k_zero_matches_expansion(self):
+        # A(n, 0, x) = sum_j C(n, j) s^j L_(n-2j)(x, -s)
         for n in range(9):
-            assert a_coeff(n, 0) == hermite_lucas_expand(n)
+            expansion = XSPoly.zero()
+            for j in range(n // 2 + 1):
+                expansion = expansion + lucas(n - 2 * j).scale_s(-1).shift(0, j, math.comb(n, j))
+            assert a_coeff(n, 0) == expansion
 
     def test_out_of_range(self):
         with pytest.raises(IndexOutOfRange):
@@ -244,6 +248,8 @@ class TestHermiteLucasExpand:
         assert hermite_lucas_expand(0) == XSPoly.one()
         assert hermite_lucas_expand(1) == XSPoly.x()
         assert hermite_lucas_expand(2) == XSPoly({(2, 0): 1, (0, 1): ONE_MINUS_Q})
+        with pytest.raises(ValueError):
+            hermite_lucas_expand(-1)
 
     def test_matches_scaled_big_hermite(self):
         for n in range(9):

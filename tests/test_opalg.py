@@ -175,6 +175,8 @@ class TestPower:
     def test_zeroth(self):
         base = affine_factor(1, TWIST_Q)
         assert power(base, 0) == NormalOp.identity(TWIST_Q)
+        with pytest.raises(ValueError):
+            power(base, -1)
 
     def test_square_matches_unreduced_expression(self):
         base = affine_factor(1, TWIST_Q)

@@ -107,6 +107,14 @@ class TestQScalar:
         with pytest.raises(ZeroDivisionError):
             half / QScalar(0)
 
+    def test_equal_values_hash_equal(self):
+        # values that compare equal across int, IntPoly and QScalar must
+        # collapse to one element in a set
+        assert len({QScalar(1), 1}) == 1
+        assert len({QScalar(IntPoly([1, 1])), IntPoly([1, 1])}) == 1
+        assert len({QScalar(0), 0}) == 1
+        assert len({IntPoly([-3]), -3, QScalar(-3)}) == 1
+
 
 class TestQInteger:
     def test_examples(self):

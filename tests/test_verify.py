@@ -6,8 +6,8 @@ import pytest
 
 from qweyl.verify import (
     ALL_CASE_IDS,
+    CASES,
     DEFAULT_N_MAX,
-    IDENTITY_CASES,
     run_cases,
     verify_identity,
     verify_theorem,
@@ -37,6 +37,8 @@ class TestTheorems:
         with pytest.raises(ValueError):
             verify_theorem("T9", 3)
         with pytest.raises(ValueError):
+            verify_theorem("dq-2.7", 3)
+        with pytest.raises(ValueError):
             verify_theorem("T1", 0)
 
 
@@ -52,7 +54,7 @@ class TestIdentities:
         assert verify_identity("lucas-4.4-4.6", 1).n_range == (0, 1)
 
     def test_all_identities_small(self):
-        for case_id in IDENTITY_CASES:
+        for case_id in [i for i, case in CASES.items() if not case.theorem]:
             assert verify_identity(case_id, 4).status == "pass", case_id
 
     def test_n_max_capped_at_stated_range(self):
@@ -111,6 +113,20 @@ class TestRunCases:
     def test_unknown_id(self):
         with pytest.raises(ValueError):
             run_cases(["nope"])
+
+    def test_stated_ranges(self):
+        # (first n, stated n_max) of every case, in report order
+        assert [(r.case_id, r.n_range) for r in run_cases()] == [
+            ("T1", (1, 10)), ("T2", (1, 8)), ("T3", (1, 8)), ("T4", (1, 8)),
+            ("C1", (1, 10)), ("C2", (1, 8)), ("C3", (1, 8)),
+            ("H-deriv-1.9", (1, 12)), ("op-1.10", (1, 12)), ("sym-1.13", (1, 12)),
+            ("h-closed-2.1-vs-2.3", (1, 8)), ("exp-2.6", (1, 12)),
+            ("dq-2.7", (1, 12)), ("rec-2.8", (2, 12)), ("rec-3.3", (1, 12)),
+            ("scale-3", (1, 12)), ("lucas-4.4-4.6", (0, 12)),
+            ("expand-4.7", (1, 10)), ("closed-4.14", (1, 10)),
+            ("factor-4.16", (1, 10)), ("rec-4.17", (1, 10)),
+            ("q1-collapse", (1, 10)),
+        ]
 
 
 class TestSecondaryOracle:
