@@ -11,24 +11,26 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import islice
 from typing import Optional, Sequence
 
 from .families import (
-    ONE_MINUS_Q,
+    OPERATORS,
+    _triangle,
     big_hermite,
     h_poly,
     hermite,
     lucas,
     lucas_k,
+    operator_sequence,
     qweyl_binomial,
     weyl_binomial,
 )
-from .opalg import TWIST_ONE, TWIST_Q, NormalOp, affine_factor, power, product
-from .qarith import QScalar, q_pow
 from .verify import ALL_CASE_IDS, run_cases
 
-EXPAND_KINDS = ("classical", "qpower", "qdesc", "qodd", "qtheorem4")
-FAMILY_NAMES = ("hermite", "h", "bigH", "lucas", "lucasK")
+# `family --name` choices, in this order; lucasK also takes --k.
+FAMILIES = {"hermite": hermite, "h": h_poly, "bigH": big_hermite,
+            "lucas": lucas, "lucasK": lucas_k}
 
 
 def _nonneg(text: str) -> int:
@@ -45,22 +47,8 @@ def _positive(text: str) -> int:
     return value
 
 
-def _expand_operator(kind: str, n: int) -> NormalOp:
-    if kind == "classical":
-        return power(affine_factor(1, TWIST_ONE), n)
-    if kind == "qpower":
-        return power(affine_factor(1, TWIST_Q), n)
-    if kind == "qdesc":
-        return product([affine_factor(q_pow(n - 1 - i), TWIST_Q) for i in range(n)])
-    if kind == "qodd":
-        return product([affine_factor(q_pow(2 * i + 1), TWIST_Q) for i in range(n)])
-    if kind == "qtheorem4":
-        return power(affine_factor(QScalar(ONE_MINUS_Q), TWIST_Q), n)
-    raise ValueError(f"unknown kind {kind!r}")
-
-
 def _cmd_expand(args: argparse.Namespace) -> int:
-    op = _expand_operator(args.kind, args.n)
+    op = next(islice(operator_sequence(args.kind), args.n, None))
     if args.json:
         print(json.dumps(op.to_json()))
     else:
@@ -77,14 +65,8 @@ def _cmd_family(args: argparse.Namespace) -> int:
     elif args.k is not None:
         print(f"--k is only meaningful for lucasK, not {args.name}", file=sys.stderr)
         return 2
-    elif args.name == "hermite":
-        poly = hermite(args.n)
-    elif args.name == "h":
-        poly = h_poly(args.n)
-    elif args.name == "bigH":
-        poly = big_hermite(args.n)
     else:
-        poly = lucas(args.n)
+        poly = FAMILIES[args.name](args.n)
     if args.json:
         print(json.dumps(poly.to_json()))
     else:
@@ -96,15 +78,14 @@ def _cmd_table(args: argparse.Namespace) -> int:
     n = args.n
     entries = []
     index_name = "j" if args.coeff == "weyl" else "l"
-    for m in range(n + 1):
-        for idx in range(min(m, n - m) + 1):
-            if args.coeff == "weyl":
-                value = weyl_binomial(n, m, idx)
-                entries.append(({"m": m, index_name: idx, "value": value}, str(value)))
-            else:
-                poly = qweyl_binomial(n, m, idx, path="recurrence")
-                entries.append(({"m": m, index_name: idx, "value": poly.to_list()},
-                                str(poly)))
+    for m, idx in _triangle(n):
+        if args.coeff == "weyl":
+            value = weyl_binomial(n, m, idx)
+            entries.append(({"m": m, index_name: idx, "value": value}, str(value)))
+        else:
+            poly = qweyl_binomial(n, m, idx, path="recurrence")
+            entries.append(({"m": m, index_name: idx, "value": poly.to_list()},
+                            str(poly)))
     if args.json:
         print(json.dumps({"coeff": args.coeff, "n": n,
                           "entries": [e for e, _ in entries]}))
@@ -143,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("expand", help="normal-order an operator power or product")
-    p.add_argument("--kind", required=True, choices=EXPAND_KINDS,
+    p.add_argument("--kind", required=True, choices=tuple(OPERATORS),
                    help="classical (X+sD)^n at q=1, qpower (X+sD)^n, "
                         "qdesc descending-power product, qodd odd-power product, "
                         "qtheorem4 (X+(1-q)sD)^n")
@@ -152,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_expand)
 
     p = sub.add_parser("family", help="print a polynomial family member")
-    p.add_argument("--name", required=True, choices=FAMILY_NAMES)
+    p.add_argument("--name", required=True, choices=tuple(FAMILIES))
     p.add_argument("--n", required=True, type=_nonneg)
     p.add_argument("--k", type=_nonneg, help="second index, for lucasK")
     p.add_argument("--json", action="store_true")

@@ -1,4 +1,6 @@
-"""Polynomial families and closed-form normal-ordering coefficients.
+"""Polynomial families, closed-form normal-ordering coefficients, and the
+table of operators (OPERATORS) whose normal forms `qweyl expand` prints and
+the theorem cases check.
 
 Every family here has at least one independent route to the same values --
 a defining recurrence, a closed sum, a generating-operator product -- and the
@@ -11,15 +13,19 @@ NotPolynomial error instead of a silently wrong value.
 
 from __future__ import annotations
 
+import itertools
 import math
+import threading
 from functools import lru_cache
+from typing import Callable, Iterator, NamedTuple
 
-from .opalg import TWIST_Q, NormalOp, affine_factor
+from .opalg import TWIST_ONE, TWIST_Q, NormalOp, affine_factor
 from .polyring import XSPoly
 from .qarith import (
     IntPoly,
     ONE,
     QScalar,
+    QSCALAR_ONE,
     ZERO,
     gauss_binomial,
     q_even_product,
@@ -37,6 +43,46 @@ class IndexOutOfRange(ValueError):
     """An index lies outside the stated domain of a coefficient family."""
 
 
+class _Operator(NamedTuple):
+    twist: QScalar
+    c: Callable[[int], QScalar]  # the n-th factor is X + c(n)*s*D
+    left: bool                   # the n-th factor joins on the left
+
+
+# The operators the paper normal-orders, by `qweyl expand --kind` name.
+OPERATORS: dict[str, _Operator] = {
+    # (X+sD)^n at q = 1
+    "classical": _Operator(TWIST_ONE, lambda n: QSCALAR_ONE, False),
+    # (X+sD)^n
+    "qpower": _Operator(TWIST_Q, lambda n: QSCALAR_ONE, False),
+    # the descending-power product (X+q^(n-1)sD)...(X+qsD)(X+sD)
+    "qdesc": _Operator(TWIST_Q, lambda n: q_pow(n - 1), True),
+    # the odd-power product (X+qsD)(X+q^3 sD)...(X+q^(2n-1)sD)
+    "qodd": _Operator(TWIST_Q, lambda n: q_pow(2 * n - 1), False),
+    # (X+(1-q)sD)^n
+    "qtheorem4": _Operator(TWIST_Q, lambda n: QScalar(ONE_MINUS_Q), False),
+}
+
+
+def operator_sequence(kind: str) -> Iterator[NormalOp]:
+    """Normal forms of the operator OPERATORS[kind] for n = 0, 1, 2, ...,
+    one composition per step."""
+    twist, c, left = OPERATORS[kind]
+    op = NormalOp.identity(twist)
+    for n in itertools.count(1):
+        yield op
+        factor = affine_factor(c(n), twist)
+        op = factor * op if left else op * factor
+
+
+def _triangle(n: int) -> Iterator[tuple[int, int]]:
+    """Index pairs (m, j) of row n of the Weyl and q-Weyl triangles,
+    0 <= j <= min(m, n-m), in ascending m, then ascending j."""
+    for m in range(n + 1):
+        for j in range(min(m, n - m) + 1):
+            yield m, j
+
+
 @lru_cache(maxsize=None)
 def hermite(n: int) -> XSPoly:
     """Hermite variant by the three-term recurrence
@@ -44,10 +90,12 @@ def hermite(n: int) -> XSPoly:
     plain integers (q-free)."""
     if n < 0:
         raise ValueError("hermite requires n >= 0")
-    if n == 0:
-        return XSPoly.one()
-    if n == 1:
-        return XSPoly.x()
+    if n < 2:
+        return XSPoly.x(n)
+    # Fill the cache upward first, so that no call recurses more than two
+    # deep, however large n is.
+    for i in range(2, n - 1):
+        hermite(i)
     return hermite(n - 1).shift(1, 0) + (n - 1) * hermite(n - 2).shift(0, 1)
 
 
@@ -221,7 +269,10 @@ def _qweyl_closed(n: int, m: int, l: int) -> IntPoly:
     return to_polynomial(QScalar(total, ONE_MINUS_Q ** l))
 
 
+# Rows of the q-Weyl triangle, shared and grown like the Gaussian-binomial
+# rows in qarith: built whole, appended under the lock, read without it.
 _QWEYL_ROWS: list[dict[tuple[int, int], IntPoly]] = [{(0, 0): ONE}]
+_QWEYL_LOCK = threading.Lock()
 
 
 def _qweyl_row(n: int) -> dict[tuple[int, int], IntPoly]:
@@ -230,18 +281,19 @@ def _qweyl_row(n: int) -> dict[tuple[int, int], IntPoly]:
     {n+1 m}_l = {n m-1}_l + [m+1-l] {n m}_(l-1) + q^(m-l) {n m}_l
 
     with {0 0}_0 = 1 and zero outside the triangle."""
-    while len(_QWEYL_ROWS) <= n:
-        r = len(_QWEYL_ROWS)
-        prev = _QWEYL_ROWS[r - 1]
-        row: dict[tuple[int, int], IntPoly] = {}
-        for m in range(r + 1):
-            for l in range(min(m, r - m) + 1):
-                val = prev.get((m - 1, l), ZERO) \
-                    + q_integer(m + 1 - l) * prev.get((m, l - 1), ZERO) \
-                    + IntPoly.q_power(m - l) * prev.get((m, l), ZERO)
-                if not val.is_zero():
-                    row[(m, l)] = val
-        _QWEYL_ROWS.append(row)
+    if len(_QWEYL_ROWS) <= n:
+        with _QWEYL_LOCK:
+            while len(_QWEYL_ROWS) <= n:
+                r = len(_QWEYL_ROWS)
+                prev = _QWEYL_ROWS[r - 1]
+                row: dict[tuple[int, int], IntPoly] = {}
+                for m, l in _triangle(r):
+                    val = prev.get((m - 1, l), ZERO) \
+                        + q_integer(m + 1 - l) * prev.get((m, l - 1), ZERO) \
+                        + IntPoly.q_power(m - l) * prev.get((m, l), ZERO)
+                    if not val.is_zero():
+                        row[(m, l)] = val
+                _QWEYL_ROWS.append(row)
     return _QWEYL_ROWS[n]
 
 

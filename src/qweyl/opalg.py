@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
-from .polyring import XSPoly, _is_plain
+from .polyring import XSPoly, _render_terms
 from .qarith import (
     QScalar,
     QSCALAR_ONE,
@@ -266,27 +266,8 @@ class NormalOp:
         return f"NormalOp(twist={self.twist!s}, terms={self.terms!r})"
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        pieces = []
-        for (a, b, m), c in self.sorted_terms():
-            factors = []
-            if m:
-                factors.append("s" if m == 1 else f"s^{m}")
-            if a:
-                factors.append("X" if a == 1 else f"X^{a}")
-            if b:
-                factors.append("D" if b == 1 else f"D^{b}")
-            cs = str(c)
-            if not _is_plain(cs):
-                cs = f"({cs})"
-            if not factors:
-                pieces.append(cs)
-            elif c == QSCALAR_ONE:
-                pieces.append("*".join(factors))
-            else:
-                pieces.append("*".join([cs] + factors))
-        return " + ".join(pieces)
+        return _render_terms((c, (("s", m), ("X", a), ("D", b)))
+                             for (a, b, m), c in self.sorted_terms())
 
 
 def normal_order(e: OpExpr, twist: QScalar) -> NormalOp:

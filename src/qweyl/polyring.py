@@ -10,7 +10,7 @@ specializing q = 1 is total (the difference quotient would be 0/0 there).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Union
+from typing import Iterable, Mapping, Union
 
 from .qarith import (
     IntPoly,
@@ -203,28 +203,22 @@ class XSPoly:
         return f"XSPoly({self.terms!r})"
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        pieces = []
-        for (a, b), c in self.sorted_terms():
-            factors = []
-            if b:
-                factors.append("s" if b == 1 else f"s^{b}")
-            if a:
-                factors.append("x" if a == 1 else f"x^{a}")
-            cs = str(c)
-            if not factors:
-                pieces.append(cs if _is_plain(cs) else f"({cs})")
-                continue
-            if c == QSCALAR_ONE:
-                pieces.append("*".join(factors))
-            else:
-                head = cs if _is_plain(cs) else f"({cs})"
-                pieces.append("*".join([head] + factors))
-        return " + ".join(pieces)
+        return _render_terms((c, (("s", b), ("x", a))) for (a, b), c in self.sorted_terms())
 
 
-def _is_plain(rendered: str) -> bool:
-    """True when a coefficient can be printed without parentheses."""
-    return not (rendered.startswith("(") or rendered.startswith("-")
-                or "+" in rendered or "-" in rendered)
+def _render_terms(terms: Iterable[tuple[QScalar, tuple[tuple[str, int], ...]]]) -> str:
+    """Text of a sum of terms, each a coefficient and (name, exponent)
+    factors, e.g. (1+q)*s*x^2.  Zero exponents are left out, and so is a
+    coefficient 1 that has factors; a coefficient with a sign or a sum is
+    put in parentheses.  The empty sum is "0"."""
+    pieces = []
+    for c, powers in terms:
+        factors = [name if e == 1 else f"{name}^{e}" for name, e in powers if e]
+        cs = str(c)
+        if cs.startswith("(") or "+" in cs or "-" in cs:
+            cs = f"({cs})"
+        if factors and c == QSCALAR_ONE:
+            pieces.append("*".join(factors))
+        else:
+            pieces.append("*".join([cs] + factors))
+    return " + ".join(pieces) or "0"

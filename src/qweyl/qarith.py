@@ -19,6 +19,7 @@ No floating point is used anywhere; point evaluation returns Fraction.
 from __future__ import annotations
 
 import math
+import threading
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -427,7 +428,10 @@ def q_factorial(n: int) -> IntPoly:
     return result
 
 
+# Rows of the q-Pascal triangle.  Readers index it without a lock; a row is
+# built whole and appended under the lock, so a row is never published twice.
 _GAUSS_ROWS: list[list[IntPoly]] = [[ONE]]
+_GAUSS_LOCK = threading.Lock()
 
 
 def gauss_binomial(n: int, k: int) -> IntPoly:
@@ -440,14 +444,16 @@ def gauss_binomial(n: int, k: int) -> IntPoly:
         raise ValueError("gauss_binomial requires n >= 0")
     if k < 0 or k > n:
         return ZERO
-    while len(_GAUSS_ROWS) <= n:
-        m = len(_GAUSS_ROWS)
-        prev = _GAUSS_ROWS[m - 1]
-        row = [ONE]
-        for j in range(1, m):
-            row.append(prev[j - 1] + IntPoly.q_power(j) * prev[j])
-        row.append(ONE)
-        _GAUSS_ROWS.append(row)
+    if len(_GAUSS_ROWS) <= n:
+        with _GAUSS_LOCK:
+            while len(_GAUSS_ROWS) <= n:
+                m = len(_GAUSS_ROWS)
+                prev = _GAUSS_ROWS[m - 1]
+                row = [ONE]
+                for j in range(1, m):
+                    row.append(prev[j - 1] + IntPoly.q_power(j) * prev[j])
+                row.append(ONE)
+                _GAUSS_ROWS.append(row)
     return _GAUSS_ROWS[n][k]
 
 

@@ -17,10 +17,12 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .families import (
     ONE_MINUS_Q,
+    _triangle,
     _xsd_power,
     a_coeff,
     apply_exp_q2,
@@ -32,10 +34,11 @@ from .families import (
     hermite,
     hermite_lucas_expand,
     lucas,
+    operator_sequence,
     qweyl_binomial,
     weyl_binomial,
 )
-from .opalg import TWIST_ONE, TWIST_Q, NormalOp, affine_factor
+from .opalg import NormalOp
 from .polyring import XSPoly
 from .qarith import QScalar, QSCALAR_ZERO, eval_q, gauss_binomial, q_integer, q_pow
 
@@ -72,110 +75,90 @@ class VerificationReport:
                 else self.first_failure.to_json()}
 
 
-def _sd_pow(k: int, twist) -> NormalOp:
-    return NormalOp(twist, {(0, k, k): 1})
-
-
 # ---------------------------------------------------------------------------
 # Theorem cases: operator identities, engine on the left, closed forms right.
 # ---------------------------------------------------------------------------
 
-def _case_t1(n_max: int) -> Iterator[Comparison]:
+def _q1_powers(ns: range) -> Iterator[tuple[int, NormalOp]]:
+    """(n, (X+sD)^n at q = 1), from the memoized q-powers."""
+    return ((n, _xsd_power(n).specialize_q(1)) for n in ns)
+
+
+def _operators(kind: str, ns: range) -> Iterator[tuple[int, NormalOp]]:
+    """(n, normal form of the n-th operator of an OPERATORS kind)."""
+    return zip(ns, islice(operator_sequence(kind), ns.start, None))
+
+
+def _sd_sum_case(lhs: Iterable[tuple[int, NormalOp]],
+                 term: Callable[[int, int], tuple]) -> Iterator[Comparison]:
+    """Each operator against sum_k scale * P(X, s) (sD)^k, where
+    term(n, k) = (scale, P).  P(X, s) has no D, so the term map of
+    P(X, s) (sD)^k is written directly: c x^a s^m becomes c X^a D^k s^(m+k)."""
+    for n, op in lhs:
+        rhs = {}
+        for k in range(n + 1):
+            scale, p = term(n, k)
+            for (a, m), c in p.terms.items():
+                rhs[(a, k, m + k)] = c * scale
+        yield n, op.terms, rhs
+
+
+def _expanded_case(lhs: Iterable[tuple[int, NormalOp]],
+                   coeff: Callable[[int, int, int], QScalar]) -> Iterator[Comparison]:
+    """Each operator against coeff(n, m, j) at X^(m-j) D^(n-m-j) s^(n-m)."""
+    for n, op in lhs:
+        yield n, op.terms, {(m - j, n - m - j, n - m): coeff(n, m, j) for m, j in _triangle(n)}
+
+
+def _case_t1(ns: range) -> Iterator[Comparison]:
     """(X+sD)^n = sum_k C(n,k) H_(n-k)(X,s) (sD)^k at q = 1."""
-    for n in range(1, n_max + 1):
-        lhs = _xsd_power(n).specialize_q(1)
-        rhs = NormalOp(TWIST_ONE, {})
-        for k in range(n + 1):
-            term = NormalOp.from_polynomial(hermite(n - k), TWIST_ONE) * _sd_pow(k, TWIST_ONE)
-            rhs = rhs + term.scale(math.comb(n, k))
-        yield n, lhs.terms, rhs.terms
+    return _sd_sum_case(_q1_powers(ns), lambda n, k: (math.comb(n, k), hermite(n - k)))
 
 
-def _case_c1(n_max: int) -> Iterator[Comparison]:
+def _case_c1(ns: range) -> Iterator[Comparison]:
     """Normal form of (X+sD)^n at q = 1 has Weyl binomial coefficients."""
-    for n in range(1, n_max + 1):
-        lhs = _xsd_power(n).specialize_q(1)
-        rhs = {}
-        for m in range(n + 1):
-            for j in range(min(m, n - m) + 1):
-                rhs[(m - j, n - m - j, n - m)] = QScalar(weyl_binomial(n, m, j))
-        yield n, lhs.terms, rhs
+    return _expanded_case(_q1_powers(ns), lambda n, m, j: QScalar(weyl_binomial(n, m, j)))
 
 
-def _case_t2(n_max: int) -> Iterator[Comparison]:
+def _case_t2(ns: range) -> Iterator[Comparison]:
     """(X+q^(n-1)sD)...(X+sD) = sum_k g_n(k,X,s) s^k D^k."""
-    op = NormalOp.identity(TWIST_Q)
-    for n in range(1, n_max + 1):
-        op = affine_factor(q_pow(n - 1), TWIST_Q) * op
-        rhs = NormalOp(TWIST_Q, {})
-        for k in range(n + 1):
-            rhs = rhs + NormalOp.from_polynomial(g_coeff(n, k), TWIST_Q) * _sd_pow(k, TWIST_Q)
-        yield n, op.terms, rhs.terms
+    return _sd_sum_case(_operators("qdesc", ns), lambda n, k: (1, g_coeff(n, k)))
 
 
-def _case_c2(n_max: int) -> Iterator[Comparison]:
+def _case_c2(ns: range) -> Iterator[Comparison]:
     """Fully expanded coefficients of the descending-power product."""
-    op = NormalOp.identity(TWIST_Q)
-    for n in range(1, n_max + 1):
-        op = affine_factor(q_pow(n - 1), TWIST_Q) * op
-        rhs = {}
-        for m in range(n + 1):
-            for j in range(min(m, n - m) + 1):
-                rhs[(m - j, n - m - j, n - m)] = corollary2_coeff(n, m, j)
-        yield n, op.terms, rhs
+    return _expanded_case(_operators("qdesc", ns), corollary2_coeff)
 
 
-def _case_t3(n_max: int) -> Iterator[Comparison]:
+def _case_t3(ns: range) -> Iterator[Comparison]:
     """(X+qsD)(X+q^3 sD)...(X+q^(2n-1)sD) = sum_k [n k] q^(kn) h_(n-k)(X,s) (sD)^k."""
-    op = NormalOp.identity(TWIST_Q)
-    for n in range(1, n_max + 1):
-        op = op * affine_factor(q_pow(2 * n - 1), TWIST_Q)
-        rhs = NormalOp(TWIST_Q, {})
-        for k in range(n + 1):
-            scale = QScalar(gauss_binomial(n, k)) * q_pow(k * n)
-            term = NormalOp.from_polynomial(h_poly(n - k), TWIST_Q) * _sd_pow(k, TWIST_Q)
-            rhs = rhs + term.scale(scale)
-        yield n, op.terms, rhs.terms
+    return _sd_sum_case(_operators("qodd", ns), lambda n, k: (
+        QScalar(gauss_binomial(n, k)) * q_pow(k * n), h_poly(n - k)))
 
 
-def _case_c3(n_max: int) -> Iterator[Comparison]:
+def _case_c3(ns: range) -> Iterator[Comparison]:
     """Fully expanded coefficients of the odd-power product."""
-    op = NormalOp.identity(TWIST_Q)
-    for n in range(1, n_max + 1):
-        op = op * affine_factor(q_pow(2 * n - 1), TWIST_Q)
-        rhs = {}
-        for m in range(n + 1):
-            for j in range(min(m, n - m) + 1):
-                rhs[(m - j, n - m - j, n - m)] = corollary3_coeff(n, m, j)
-        yield n, op.terms, rhs
+    return _expanded_case(_operators("qodd", ns), corollary3_coeff)
 
 
-def _case_t4(n_max: int) -> Iterator[Comparison]:
+def _case_t4(ns: range) -> Iterator[Comparison]:
     """(X+(1-q)sD)^n = sum_k A(n,k,X) (1-q)^k s^k D^k."""
-    base = affine_factor(QScalar(ONE_MINUS_Q), TWIST_Q)
-    op = NormalOp.identity(TWIST_Q)
-    for n in range(1, n_max + 1):
-        op = op * base
-        rhs = NormalOp(TWIST_Q, {})
-        for k in range(n + 1):
-            scale = QScalar(ONE_MINUS_Q) ** k
-            term = NormalOp.from_polynomial(a_coeff(n, k), TWIST_Q) * _sd_pow(k, TWIST_Q)
-            rhs = rhs + term.scale(scale)
-        yield n, op.terms, rhs.terms
+    return _sd_sum_case(_operators("qtheorem4", ns), lambda n, k: (
+        QScalar(ONE_MINUS_Q) ** k, a_coeff(n, k)))
 
 
 # ---------------------------------------------------------------------------
 # Identity cases: recurrences, derivative rules, collapses.
 # ---------------------------------------------------------------------------
 
-def _case_h_deriv(n_max: int) -> Iterator[Comparison]:
-    for n in range(1, n_max + 1):
+def _case_h_deriv(ns: range) -> Iterator[Comparison]:
+    for n in ns:
         yield n, hermite(n).ddx().terms, (n * hermite(n - 1)).terms
 
 
-def _case_op_110(n_max: int) -> Iterator[Comparison]:
+def _case_op_110(ns: range) -> Iterator[Comparison]:
     """D H_n(X,s) = H_n(X,s) D + n H_(n-1)(X,s), as apply-equality on x^m."""
-    for n in range(1, n_max + 1):
+    for n in ns:
         hn, hprev = hermite(n), hermite(n - 1)
         for m in range(9):
             xm = XSPoly.x(m)
@@ -184,55 +167,52 @@ def _case_op_110(n_max: int) -> Iterator[Comparison]:
             yield n, lhs.terms, rhs.terms
 
 
-def _case_sym_113(n_max: int) -> Iterator[Comparison]:
-    for n in range(1, n_max + 1):
+def _case_sym_113(ns: range) -> Iterator[Comparison]:
+    for n in ns:
         lhs, rhs = {}, {}
-        for m in range(n + 1):
-            for j in range(min(m, n - m) + 1):
-                w = QScalar(weyl_binomial(n, m, j))
-                lhs[(m, j, 0)] = w
-                rhs[(m, j, 0)] = QScalar(weyl_binomial(n, n - m, j))
-                lhs[(m, j, 1)] = w
-                rhs[(m, j, 1)] = QScalar(math.comb(n - 2 * j, m - j) * weyl_binomial(n, j, j))
+        for m, j in _triangle(n):
+            w = QScalar(weyl_binomial(n, m, j))
+            lhs[(m, j, 0)] = w
+            rhs[(m, j, 0)] = QScalar(weyl_binomial(n, n - m, j))
+            lhs[(m, j, 1)] = w
+            rhs[(m, j, 1)] = QScalar(math.comb(n - 2 * j, m - j) * weyl_binomial(n, j, j))
         yield n, lhs, rhs
 
 
-def _case_h_closed(n_max: int) -> Iterator[Comparison]:
+def _case_h_closed(ns: range) -> Iterator[Comparison]:
     """The descending-power product applied to 1 gives h_n."""
-    op = NormalOp.identity(TWIST_Q)
-    for n in range(1, n_max + 1):
-        op = affine_factor(q_pow(n - 1), TWIST_Q) * op
+    for n, op in _operators("qdesc", ns):
         yield n, op.apply(XSPoly.one()).terms, h_poly(n).terms
 
 
-def _case_exp_26(n_max: int) -> Iterator[Comparison]:
-    for n in range(1, n_max + 1):
+def _case_exp_26(ns: range) -> Iterator[Comparison]:
+    for n in ns:
         yield n, apply_exp_q2(XSPoly.x(n)).terms, h_poly(n).terms
 
 
-def _case_dq_27(n_max: int) -> Iterator[Comparison]:
-    for n in range(1, n_max + 1):
+def _case_dq_27(ns: range) -> Iterator[Comparison]:
+    for n in ns:
         rhs = QScalar(q_integer(n)) * h_poly(n - 1)
         yield n, h_poly(n).dq().terms, rhs.terms
 
 
-def _case_rec_28(n_max: int) -> Iterator[Comparison]:
-    for n in range(2, n_max + 1):
+def _case_rec_28(ns: range) -> Iterator[Comparison]:
+    for n in ns:
         rhs = h_poly(n - 1).shift(1, 0) \
             + h_poly(n - 2).shift(0, 1, q_pow(n - 1) * q_integer(n - 1))
         yield n, h_poly(n).terms, rhs.terms
 
 
-def _case_rec_33(n_max: int) -> Iterator[Comparison]:
+def _case_rec_33(ns: range) -> Iterator[Comparison]:
     """h_n(x,s) = x h_(n-1)(x, q^2 s) + q s Dq h_(n-1)(x, q^2 s)."""
-    for n in range(1, n_max + 1):
+    for n in ns:
         scaled = h_poly(n - 1).dilate(0, 2)
         rhs = scaled.shift(1, 0) + scaled.dq().shift(0, 1, q_pow(1))
         yield n, h_poly(n).terms, rhs.terms
 
 
-def _case_scale_3(n_max: int) -> Iterator[Comparison]:
-    for n in range(1, n_max + 1):
+def _case_scale_3(ns: range) -> Iterator[Comparison]:
+    for n in ns:
         yield n, h_poly(n).dilate(1, 2).terms, (q_pow(n) * h_poly(n)).terms
 
 
@@ -241,9 +221,9 @@ def _lucas_op(p: XSPoly) -> XSPoly:
     return p.shift(1, 0) + p.dq().shift(0, 1, QScalar(ONE_MINUS_Q))
 
 
-def _case_lucas(n_max: int) -> Iterator[Comparison]:
+def _case_lucas(ns: range) -> Iterator[Comparison]:
     """The three Lucas relations, including the extra +s at n = 1."""
-    for n in range(0, n_max + 1):
+    for n in ns:
         lhs = _lucas_op(lucas(n).scale_s(-1))
         if n == 0:
             rhs = lucas(1).scale_s(-1)
@@ -254,44 +234,42 @@ def _case_lucas(n_max: int) -> Iterator[Comparison]:
         yield n, lhs.terms, rhs.terms
 
 
-def _case_expand_47(n_max: int) -> Iterator[Comparison]:
-    for n in range(1, n_max + 1):
+def _case_expand_47(ns: range) -> Iterator[Comparison]:
+    for n in ns:
         lhs = big_hermite(n).scale_s(ONE_MINUS_Q)
         yield n, lhs.terms, hermite_lucas_expand(n).terms
 
 
-def _case_closed_414(n_max: int) -> Iterator[Comparison]:
-    for n in range(1, n_max + 1):
+def _case_closed_414(ns: range) -> Iterator[Comparison]:
+    for n in ns:
         rhs = {(n - 2 * l, l): QScalar(qweyl_binomial(n, l, l))
                for l in range(n // 2 + 1)}
         yield n, big_hermite(n).terms, rhs
 
 
-def _qweyl_pair_case(path_a: str, path_b: str) -> Callable[[int], Iterator[Comparison]]:
-    def case(n_max: int) -> Iterator[Comparison]:
-        for n in range(1, n_max + 1):
+def _qweyl_pair_case(path_a: str, path_b: str) -> Callable[[range], Iterator[Comparison]]:
+    def case(ns: range) -> Iterator[Comparison]:
+        for n in ns:
             lhs, rhs = {}, {}
-            for m in range(n + 1):
-                for l in range(min(m, n - m) + 1):
-                    lhs[(m, l)] = QScalar(qweyl_binomial(n, m, l, path_a))
-                    rhs[(m, l)] = QScalar(qweyl_binomial(n, m, l, path_b))
+            for m, l in _triangle(n):
+                lhs[(m, l)] = QScalar(qweyl_binomial(n, m, l, path_a))
+                rhs[(m, l)] = QScalar(qweyl_binomial(n, m, l, path_b))
             yield n, lhs, rhs
     return case
 
 
-def _case_q1_collapse(n_max: int) -> Iterator[Comparison]:
-    for n in range(1, n_max + 1):
+def _case_q1_collapse(ns: range) -> Iterator[Comparison]:
+    for n in ns:
         lhs, rhs = {}, {}
-        for m in range(n + 1):
-            for l in range(min(m, n - m) + 1):
-                value = eval_q(QScalar(qweyl_binomial(n, m, l)), 1)
-                lhs[(m, l)] = QScalar.from_fraction(value)
-                rhs[(m, l)] = QScalar(weyl_binomial(n, m, l))
+        for m, l in _triangle(n):
+            value = eval_q(QScalar(qweyl_binomial(n, m, l)), 1)
+            lhs[(m, l)] = QScalar.from_fraction(value)
+            rhs[(m, l)] = QScalar(weyl_binomial(n, m, l))
         yield n, lhs, rhs
 
 
 class _Case(NamedTuple):
-    check: Callable[[int], Iterator[Comparison]]
+    check: Callable[[range], Iterator[Comparison]]  # checks each n of the range
     n_max: int     # stated range
     start: int     # first n the case checks
     theorem: bool  # run through verify_theorem (uncapped), else verify_identity
@@ -340,7 +318,7 @@ def _run_case(case_id: str, n_max: int, fault_seed: Optional[int],
         raise ValueError("n_max must be positive")
     if not theorem:
         n_max = min(n_max, case.n_max)
-    comparisons = list(case.check(n_max))
+    comparisons = list(case.check(range(case.start, n_max + 1)))
     if fault_seed is not None:
         rng = random.Random(fault_seed)
         slots = [(i, key)

@@ -39,8 +39,15 @@ class TestExpand:
         assert out == "(1-2q+q^2)*s^2*D^2 + (1-q^2)*s*X*D + (1-q)*s + X^2\n"
 
     def test_zeroth_power(self, capsys):
-        _, out, _ = run_cli(capsys, "expand", "--kind", "qpower", "--n", "0")
-        assert out == "1\n"
+        # every kind's empty product is the identity of its algebra
+        for kind in ("classical", "qpower", "qdesc", "qodd", "qtheorem4"):
+            _, out, _ = run_cli(capsys, "expand", "--kind", kind, "--n", "0")
+            assert out == "1\n", kind
+            _, out, _ = run_cli(capsys, "expand", "--kind", kind, "--n", "0", "--json")
+            twist = [1] if kind == "classical" else [0, 1]
+            assert json.loads(out) == {
+                "twist": {"num": twist, "den": [1]},
+                "terms": [{"x": 0, "d": 0, "s": 0, "coef": {"num": [1], "den": [1]}}]}, kind
 
     def test_json_round_trip(self, capsys):
         _, out, _ = run_cli(capsys, "expand", "--kind", "qpower", "--n", "3", "--json")

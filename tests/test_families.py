@@ -2,10 +2,14 @@
 against the rewriting engine."""
 
 import math
+import sys
+import threading
 
 import pytest
 
+from qweyl import families, qarith
 from qweyl.families import (
+    OPERATORS,
     IndexOutOfRange,
     _xsd_power,
     a_coeff,
@@ -19,10 +23,11 @@ from qweyl.families import (
     hermite_lucas_expand,
     lucas,
     lucas_k,
+    operator_sequence,
     qweyl_binomial,
     weyl_binomial,
 )
-from qweyl.opalg import TWIST_Q, affine_factor, product
+from qweyl.opalg import TWIST_ONE, TWIST_Q, affine_factor, power, product
 from qweyl.polyring import XSPoly
 from qweyl.qarith import (
     IntPoly,
@@ -51,6 +56,26 @@ def oracle_qweyl_table(n):
     return table
 
 
+class TestOperators:
+    def test_sequence_matches_public_products(self):
+        # each kind's n-th operator, built factor by factor with power/product
+        def built(kind, n):
+            if kind == "classical":
+                return power(affine_factor(1, TWIST_ONE), n)
+            if kind == "qpower":
+                return power(affine_factor(1, TWIST_Q), n)
+            if kind == "qdesc":
+                return product([affine_factor(q_pow(n - 1 - i), TWIST_Q) for i in range(n)])
+            if kind == "qodd":
+                return product([affine_factor(q_pow(2 * i + 1), TWIST_Q) for i in range(n)])
+            return power(affine_factor(QScalar(ONE_MINUS_Q), TWIST_Q), n)
+
+        assert list(OPERATORS) == ["classical", "qpower", "qdesc", "qodd", "qtheorem4"]
+        for kind in OPERATORS:
+            for n, op in zip(range(7), operator_sequence(kind)):
+                assert op == built(kind, n), (kind, n)
+
+
 class TestHermite:
     def test_initial_values(self):
         assert hermite(0) == XSPoly.one()
@@ -69,6 +94,21 @@ class TestHermite:
                                           * math.factorial(n - 2 * j))
                 for j in range(n // 2 + 1)})
             assert hermite(n) == expected
+
+    def test_large_n_needs_no_deep_recursion(self):
+        # a cold H_150 must come out with only 50 frames of stack to spare
+        hermite.cache_clear()
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 50)
+        try:
+            h = hermite(150)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert h.coefficient(150, 0) == QScalar(1)
+        assert h.coefficient(148, 1) == QScalar(math.comb(150, 2))
 
     def test_derivative_recurrence(self):
         for n in range(1, 13):
@@ -301,3 +341,39 @@ class TestQWeylBinomial:
                 for l in range(min(m, n - m) + 1):
                     value = eval_q(QScalar(qweyl_binomial(n, m, l)), 1)
                     assert value == weyl_binomial(n, m, l)
+
+
+class TestMemoTablesUnderThreads:
+    def test_concurrent_growth_matches_serial(self):
+        # the Gaussian-binomial rows and the q-Weyl recurrence rows are shared
+        # tables grown on demand; threads growing them at once must not
+        # publish a row twice or out of place
+        def values():
+            gauss = [gauss_binomial(40, k) for k in range(41)]
+            row = [qweyl_binomial(30, m, l, "recurrence")
+                   for m in range(31) for l in range(min(m, 30 - m) + 1)]
+            return gauss, row
+
+        serial = values()
+        results = []
+
+        def work():
+            results.append(values())
+
+        interval = sys.getswitchinterval()
+        try:
+            del qarith._GAUSS_ROWS[1:]
+            del families._QWEYL_ROWS[1:]
+            sys.setswitchinterval(1e-6)
+            threads = [threading.Thread(target=work) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+            if results != [serial] * 6:
+                del qarith._GAUSS_ROWS[1:]
+                del families._QWEYL_ROWS[1:]
+        assert results == [serial] * 6

@@ -114,6 +114,23 @@ class TestRunCases:
         with pytest.raises(ValueError):
             run_cases(["nope"])
 
+    def test_cases_check_their_reported_range(self, monkeypatch):
+        # the n values a case compares are exactly the reported n_range
+        for case_id, case in CASES.items():
+            seen = []
+
+            def recording(ns, check=case.check):
+                for comparison in check(ns):
+                    seen.append(comparison[0])
+                    yield comparison
+
+            monkeypatch.setitem(CASES, case_id, case._replace(check=recording))
+            verify = verify_theorem if case.theorem else verify_identity
+            report = verify(case_id, 4)
+            first, last = report.n_range
+            assert sorted(set(seen)) == list(range(first, last + 1)), case_id
+            assert seen == sorted(seen), case_id
+
     def test_stated_ranges(self):
         # (first n, stated n_max) of every case, in report order
         assert [(r.case_id, r.n_range) for r in run_cases()] == [
