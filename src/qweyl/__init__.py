@@ -19,6 +19,7 @@ from .qarith import (
     q_factorial,
     q_integer,
     q_odd_double_factorial,
+    q_product,
     to_polynomial,
 )
 from .polyring import XSPoly
@@ -65,7 +66,8 @@ __all__ = [
     "NotPolynomial", "PoleAtPoint", "TwistMismatch", "IndexOutOfRange",
     "TWIST_Q", "TWIST_ONE",
     "q_integer", "q_factorial", "gauss_binomial",
-    "q_odd_double_factorial", "q_even_product", "to_polynomial", "eval_q",
+    "q_odd_double_factorial", "q_even_product", "q_product", "to_polynomial",
+    "eval_q",
     "normal_order", "affine_factor", "product", "power",
     "hermite", "weyl_binomial", "h_poly", "apply_exp_q2", "g_coeff",
     "corollary2_coeff", "corollary3_coeff", "big_hermite", "lucas",

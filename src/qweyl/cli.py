@@ -3,7 +3,8 @@
 All behavior is flag-driven (no config files, no environment variables) so
 that golden outputs are reproducible.  Results go to stdout, diagnostics to
 stderr.  Exit codes: 0 success, 1 verification failure, 2 malformed
-arguments.
+arguments, 3 internal error (an unexpected exception, reported as one
+stderr line).
 """
 
 from __future__ import annotations
@@ -163,7 +164,13 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Exception as exc:
+        message = " ".join(str(exc).split())
+        print(f"qweyl {args.subcommand}: internal error: {type(exc).__name__}: {message}",
+              file=sys.stderr)
+        return 3
 
 
 def main() -> None:

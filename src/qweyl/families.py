@@ -5,10 +5,14 @@ the theorem cases check.
 Every family here has at least one independent route to the same values --
 a defining recurrence, a closed sum, a generating-operator product -- and the
 verification harness cross-checks them against the rewriting engine, which
-is the ground truth.  All internal divisions (bracket ratios, (1+q^i)
-ratios, the 1/(1-q)^l prefactor) run in the QScalar field and are converted
-with to_polynomial at the end, so any transcription slip surfaces as a
-NotPolynomial error instead of a silently wrong value.
+is the ground truth.  The closed forms of g_n(k) and Corollaries 2 and 3, and
+the 1/(1-q)^l prefactor of the closed q-Weyl sum, are products and quotients
+of factors (1-q^k) ([n] = (1-q^n)/(1-q), 1+q^e = (1-q^(2e))/(1-q^e)), so they
+run through qarith.q_product with no gcd.  The remaining divisions (h_n, the
+exponential action, the Lucas bracket ratio) run in the QScalar field and are
+converted with to_polynomial.  Either way an inexact division raises
+NotPolynomial, so a transcription slip surfaces as an error instead of a
+silently wrong value.
 """
 
 from __future__ import annotations
@@ -31,8 +35,8 @@ from .qarith import (
     q_even_product,
     q_factorial,
     q_integer,
-    q_odd_double_factorial,
     q_pow,
+    q_product,
     to_polynomial,
 )
 
@@ -142,6 +146,29 @@ def apply_exp_q2(p: XSPoly) -> XSPoly:
     return result
 
 
+# Exponent maps of the q-building blocks, as (k, e) pairs for q_product: each
+# block is a product of factors (1-q^k)^e, raised to `power` (-1 divides).
+
+def _q_int(n: int, power: int = 1) -> list[tuple[int, int]]:
+    """[n] = (1-q^n)/(1-q), for n >= 1."""
+    return [(n, power), (1, -power)]
+
+
+def _q_fact(n: int, power: int = 1) -> list[tuple[int, int]]:
+    """[n]! = [1][2]...[n]."""
+    return [f for i in range(1, n + 1) for f in _q_int(i, power)]
+
+
+def _q_binom(n: int, k: int) -> list[tuple[int, int]]:
+    """Gaussian binomial [n k] = [n]!/([k]![n-k]!), for 0 <= k <= n."""
+    return _q_fact(n) + _q_fact(k, -1) + _q_fact(n - k, -1)
+
+
+def _one_plus_q(e: int, power: int = 1) -> list[tuple[int, int]]:
+    """1+q^e = (1-q^(2e))/(1-q^e), for e >= 1."""
+    return [(2 * e, power), (e, -power)]
+
+
 def g_coeff(n: int, k: int) -> XSPoly:
     """Coefficient polynomial g_n(k, x, s) of s^k D^k in the descending-power
     product (X + q^(n-1) s D)...(X + s D):
@@ -152,15 +179,13 @@ def g_coeff(n: int, k: int) -> XSPoly:
     Reduces to h_n at k = 0."""
     if n < 0 or k < 0 or k > n:
         raise IndexOutOfRange(f"need 0 <= k <= n, got (n,k)=({n},{k})")
-    outer = QScalar(gauss_binomial(n, k))
     terms = {}
     for j in range((n - k) // 2 + 1):
-        c = outer * q_pow(j * j + k * j + math.comb(k, 2))
-        c = c * gauss_binomial(n - k, 2 * j) * q_odd_double_factorial(j)
+        factors = _q_binom(n, k) + _q_binom(n - k, 2 * j) \
+            + [f for i in range(1, j + 1) for f in _q_int(2 * i - 1)]
         for i in range(k):
-            c = c * QScalar(ONE + IntPoly.q_power(n - j - i),
-                            ONE + IntPoly.q_power(j + 1 + i))
-        terms[(n - k - 2 * j, j)] = to_polynomial(c)
+            factors += _one_plus_q(n - j - i) + _one_plus_q(j + 1 + i, -1)
+        terms[(n - k - 2 * j, j)] = q_product(factors, j * j + k * j + math.comb(k, 2))
     return XSPoly(terms)
 
 
@@ -172,12 +197,10 @@ def corollary2_coeff(n: int, m: int, j: int) -> QScalar:
       / ((1+q)...(1+q^(n-m)) [j]! [m-j]! [n-m-j]!)."""
     if n < 0 or j < 0 or j > min(m, n - m):
         raise IndexOutOfRange(f"need 0 <= j <= min(m, n-m), got (n,m,j)=({n},{m},{j})")
-    c = q_pow(math.comb(j + 1, 2) + math.comb(n - m, 2)) * q_factorial(n)
-    for e in range(m + 1, n - j + 1):
-        c = c * (ONE + IntPoly.q_power(e))
-    den = q_even_product(n - m) * q_factorial(j) * q_factorial(m - j) \
-        * q_factorial(n - m - j)
-    return c / QScalar(den)
+    factors = [f for e in range(m + 1, n - j + 1) for f in _one_plus_q(e)] + _q_fact(n) \
+        + [f for e in range(1, n - m + 1) for f in _one_plus_q(e, -1)] \
+        + _q_fact(j, -1) + _q_fact(m - j, -1) + _q_fact(n - m - j, -1)
+    return QScalar(q_product(factors, math.comb(j + 1, 2) + math.comb(n - m, 2)))
 
 
 def corollary3_coeff(n: int, m: int, j: int) -> QScalar:
@@ -187,16 +210,20 @@ def corollary3_coeff(n: int, m: int, j: int) -> QScalar:
     q^(n^2+j^2-(m+j)n) [n]! / ((1+q)...(1+q^j) [j]! [m-j]! [n-m-j]!)."""
     if n < 0 or j < 0 or j > min(m, n - m):
         raise IndexOutOfRange(f"need 0 <= j <= min(m, n-m), got (n,m,j)=({n},{m},{j})")
-    c = q_pow(n * n + j * j - (m + j) * n) * q_factorial(n)
-    den = q_even_product(j) * q_factorial(j) * q_factorial(m - j) \
-        * q_factorial(n - m - j)
-    return c / QScalar(den)
+    factors = _q_fact(n) + [f for e in range(1, j + 1) for f in _one_plus_q(e, -1)] \
+        + _q_fact(j, -1) + _q_fact(m - j, -1) + _q_fact(n - m - j, -1)
+    return QScalar(q_product(factors, n * n + j * j - (m + j) * n))
 
 
 @lru_cache(maxsize=None)
 def _xsd_power(n: int) -> NormalOp:
+    """(X + sD)^n, the qpower row of OPERATORS, memoized for every n."""
     if n == 0:
         return NormalOp.identity(TWIST_Q)
+    # Fill the cache upward first, as hermite does, so that no call recurses
+    # more than two deep, however large n is.
+    for i in range(1, n - 1):
+        _xsd_power(i)
     return _xsd_power(n - 1) * affine_factor(1, TWIST_Q)
 
 
@@ -266,7 +293,7 @@ def _qweyl_closed(n: int, m: int, l: int) -> IntPoly:
         sign = -1 if (l - i) % 2 else 1
         term = _lucas_k_term(n - 2 * i - (m - l), m - l, l - i)
         total = total + sign * math.comb(n, i) * term
-    return to_polynomial(QScalar(total, ONE_MINUS_Q ** l))
+    return q_product([(1, -l)], base=total)
 
 
 # Rows of the q-Weyl triangle, shared and grown like the Gaussian-binomial

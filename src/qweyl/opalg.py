@@ -93,13 +93,19 @@ def _d_past_x_pow(a: int, twist: QScalar) -> dict[tuple[int, int], QScalar]:
     cached = _D_PAST_X.get((twist, a))
     if cached is not None:
         return cached
-    prev = _d_past_x_pow(a - 1, twist)
-    # D X^a = (twist*X*D + 1) X^(a-1) = twist * X * (D X^(a-1)) + X^(a-1)
-    out = {(x + 1, d): twist * c for (x, d), c in prev.items()}
-    key = (a - 1, 0)
-    out[key] = out.get(key, QSCALAR_ZERO) + QSCALAR_ONE
-    _D_PAST_X[(twist, a)] = out
-    return out
+    # Fill the memo upward from the highest power below a already in it, so
+    # that no call recurses, however large a is.
+    known = a - 1
+    while known > 0 and (twist, known) not in _D_PAST_X:
+        known -= 1
+    prev = _d_past_x_pow(known, twist)
+    for i in range(known + 1, a + 1):
+        # D X^i = (twist*X*D + 1) X^(i-1) = twist * X * (D X^(i-1)) + X^(i-1)
+        out = {(x + 1, d): twist * c for (x, d), c in prev.items()}
+        key = (i - 1, 0)
+        out[key] = out.get(key, QSCALAR_ZERO) + QSCALAR_ONE
+        _D_PAST_X[(twist, i)] = prev = out
+    return prev
 
 
 def _d_pow_past_x_pow(b: int, a: int, twist: QScalar) -> dict[tuple[int, int], QScalar]:
@@ -109,15 +115,20 @@ def _d_pow_past_x_pow(b: int, a: int, twist: QScalar) -> dict[tuple[int, int], Q
     cached = _D_POW_PAST_X.get((twist, b, a))
     if cached is not None:
         return cached
-    prev = _d_pow_past_x_pow(b - 1, a, twist)
-    out: dict[tuple[int, int], QScalar] = {}
-    for (x, d), c in prev.items():
-        for (x2, d2), c2 in _d_past_x_pow(x, twist).items():
-            key = (x2, d2 + d)
-            out[key] = out.get(key, QSCALAR_ZERO) + c * c2
-    out = {k: v for k, v in out.items() if not v.is_zero()}
-    _D_POW_PAST_X[(twist, b, a)] = out
-    return out
+    # Fill the memo upward in b, as _d_past_x_pow does in a.
+    known = b - 1
+    while known > 0 and (twist, known, a) not in _D_POW_PAST_X:
+        known -= 1
+    prev = _d_pow_past_x_pow(known, a, twist)
+    for i in range(known + 1, b + 1):
+        # D^i X^a = D (D^(i-1) X^a)
+        out: dict[tuple[int, int], QScalar] = {}
+        for (x, d), c in prev.items():
+            for (x2, d2), c2 in _d_past_x_pow(x, twist).items():
+                key = (x2, d2 + d)
+                out[key] = out.get(key, QSCALAR_ZERO) + c * c2
+        _D_POW_PAST_X[(twist, i, a)] = prev = {k: v for k, v in out.items() if not v.is_zero()}
+    return prev
 
 
 def _word_normal_form(word: Sequence[str], twist: QScalar) -> dict[tuple[int, int], QScalar]:

@@ -18,6 +18,7 @@ No floating point is used anywhere; point evaluation returns Fraction.
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 from fractions import Fraction
@@ -475,6 +476,40 @@ def q_even_product(j: int) -> IntPoly:
     for i in range(1, j + 1):
         result = result * (ONE + IntPoly.q_power(i))
     return result
+
+
+def q_product(factors: Iterable[tuple[int, int]], shift: int = 0,
+              base: IntPoly = ONE) -> IntPoly:
+    """q^shift * base * prod (1-q^k)^e over the pairs (k, e) of factors, in Z[q].
+
+    Pairs with the same k are netted first.  Every multiplication (one
+    shift-subtract pass per factor) runs before any division (one running-sum
+    pass per factor), so each division is exact if and only if the whole
+    value is a polynomial: a nonzero remainder raises NotPolynomial.
+    """
+    if shift < 0:
+        raise ValueError("q_product requires a nonnegative shift")
+    net: dict[int, int] = {}
+    for k, e in factors:
+        net[k] = net.get(k, 0) + e
+    c = list(base.coeffs)
+    if not c:
+        return ZERO
+    for k, e in net.items():
+        if e and k < 1:
+            raise ValueError(f"factor 1-q^{k} needs k >= 1")
+        for _ in range(e):
+            pad = [0] * k
+            c = [a - b for a, b in zip(c + pad, pad + c)]
+    for k, e in net.items():
+        for _ in range(-e):
+            for r in range(k):
+                c[r::k] = itertools.accumulate(c[r::k])
+            if len(c) <= k or any(c[-k:]):
+                raise NotPolynomial(f"({base}) * prod (1-q^k)^e over (k, e) in "
+                                    f"{sorted(net.items())} is not a polynomial in q")
+            del c[-k:]
+    return IntPoly([0] * shift + c)
 
 
 def to_polynomial(a: QScalar) -> IntPoly:

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from qweyl import cli
 from qweyl.verify import FirstFailure, VerificationReport
 
@@ -154,6 +156,25 @@ class TestVerify:
     def test_unknown_case(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "--case", "T9")
         assert code == 2
+
+
+class TestInternalError:
+    def test_unexpected_exception_exits_3(self, capsys, monkeypatch):
+        def broken(n):
+            raise RuntimeError("first line\nsecond line")
+        monkeypatch.setitem(cli.FAMILIES, "hermite", broken)
+        code, out, err = run_cli(capsys, "family", "--name", "hermite", "--n", "3")
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1
+        assert "RuntimeError" in err and "first line second line" in err
+
+    def test_keyboard_interrupt_propagates(self, capsys, monkeypatch):
+        def interrupted(n):
+            raise KeyboardInterrupt
+        monkeypatch.setitem(cli.FAMILIES, "hermite", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            cli.run(["family", "--name", "hermite", "--n", "3"])
 
 
 class TestParsing:

@@ -95,18 +95,11 @@ class TestHermite:
                 for j in range(n // 2 + 1)})
             assert hermite(n) == expected
 
-    def test_large_n_needs_no_deep_recursion(self):
+    def test_large_n_needs_no_deep_recursion(self, spare_frames):
         # a cold H_150 must come out with only 50 frames of stack to spare
         hermite.cache_clear()
-        depth, frame = 0, sys._getframe()
-        while frame is not None:
-            depth, frame = depth + 1, frame.f_back
-        limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(depth + 50)
-        try:
+        with spare_frames(50):
             h = hermite(150)
-        finally:
-            sys.setrecursionlimit(limit)
         assert h.coefficient(150, 0) == QScalar(1)
         assert h.coefficient(148, 1) == QScalar(math.comb(150, 2))
 
@@ -237,6 +230,16 @@ class TestBigHermite:
         assert big_hermite(1) == XSPoly.x()
         assert big_hermite(2) == XSPoly({(2, 0): 1, (0, 1): 1})
         assert big_hermite(3) == XSPoly({(3, 0): 1, (1, 1): IntPoly([2, 1])})
+
+    def test_large_n_needs_no_deep_recursion(self, spare_frames):
+        # (X+sD)^n is filled upward, so a cold (X+sD)^20 fits in 30 frames;
+        # one frame per n needed over 40
+        _xsd_power.cache_clear()
+        big_hermite.cache_clear()
+        with spare_frames(30):
+            h = big_hermite(20)
+        assert h == XSPoly({(20 - 2 * l, l): qweyl_binomial(20, l, l, "recurrence")
+                            for l in range(11)})
 
 
 class TestLucas:

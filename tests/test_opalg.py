@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from qweyl import opalg
 from qweyl.opalg import (
     D,
     NormalOp,
@@ -18,7 +19,7 @@ from qweyl.opalg import (
     product,
 )
 from qweyl.polyring import XSPoly
-from qweyl.qarith import IntPoly, QScalar, QSCALAR_ONE, QSCALAR_ZERO, q_pow
+from qweyl.qarith import IntPoly, QScalar, QSCALAR_ONE, QSCALAR_ZERO, q_integer, q_pow
 
 
 def naive_normal_order(word, twist, rng):
@@ -80,6 +81,38 @@ class TestNormalOrder:
     def test_repeated_words_collect(self):
         e = OpExpr.from_terms([(1, 0, (X,)), (2, 0, (X,))])
         assert normal_order(e, TWIST_Q).terms == {(1, 0, 0): QScalar(3)}
+
+
+class TestDeepWords:
+    """The memos of D X^a and D^b X^a fill upward: with both cold, a word
+    with 300 X's, or D^300 X, needs a few frames, not one per power."""
+
+    A = 300
+
+    def test_d_past_many_x(self, spare_frames):
+        a = self.A
+        opalg._D_PAST_X.clear()
+        with spare_frames(50):
+            op = normal_order(OpExpr.word("D" + "X" * a), TWIST_Q)
+        assert op.terms == {(a, 1, 0): q_pow(a), (a - 1, 0, 0): QScalar(q_integer(a))}
+
+    def test_ddd_past_many_x(self, spare_frames):
+        a = self.A
+        opalg._D_PAST_X.clear()
+        with spare_frames(50):
+            op = normal_order(OpExpr.word("DDD" + "X" * a), TWIST_Q)
+        assert len(op.terms) == 4
+        assert op.terms[(a, 3, 0)] == q_pow(3 * a)
+        assert op.terms[(a - 3, 0, 0)] == QScalar(
+            q_integer(a) * q_integer(a - 1) * q_integer(a - 2))
+
+    def test_many_d_past_x(self, spare_frames):
+        b = self.A
+        opalg._D_POW_PAST_X.clear()
+        with spare_frames(50):
+            op = NormalOp(TWIST_Q, {(0, b, 0): 1}) * NormalOp(TWIST_Q, {(1, 0, 0): 1})
+        assert op.terms == {(1, b, 0): q_pow(b), (0, b - 1, 0): QScalar(q_integer(b))}
+        assert len(opalg._D_POW_PAST_X) == b
 
 
 class TestMul:

@@ -6,6 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from qweyl.families import _triangle, corollary2_coeff, corollary3_coeff, g_coeff
+from qweyl.polyring import XSPoly
 from qweyl.qarith import (
     IntPoly,
     NotPolynomial,
@@ -21,6 +23,8 @@ from qweyl.qarith import (
     q_factorial,
     q_integer,
     q_odd_double_factorial,
+    q_pow,
+    q_product,
     to_polynomial,
 )
 
@@ -184,6 +188,98 @@ class TestProducts:
         assert q_even_product(0) == ONE
         assert q_even_product(1) == IntPoly([1, 1])
         assert q_even_product(2) == IntPoly([1, 1, 1, 1])
+
+
+factor_pairs = st.lists(st.tuples(st.integers(1, 6), st.integers(-3, 3)), max_size=6)
+
+
+def one_minus_q(k):
+    return ONE - IntPoly.q_power(k)
+
+
+class TestQProduct:
+    @given(small_polys, st.lists(st.integers(1, 6), max_size=4), factor_pairs,
+           st.integers(0, 3))
+    def test_matches_field_arithmetic(self, p, base_factors, factors, shift):
+        # base carries some (1-q^k) factors, so quotients are often exact
+        base = p
+        for k in base_factors:
+            base = base * one_minus_q(k)
+        value = QScalar(base) * q_pow(shift)
+        for k, e in factors:
+            value = value * QScalar(one_minus_q(k)) ** e
+        try:
+            expected = to_polynomial(value)
+        except NotPolynomial:
+            with pytest.raises(NotPolynomial):
+                q_product(factors, shift, base)
+        else:
+            assert q_product(factors, shift, base) == expected
+
+    def test_inexact_quotient_raises(self):
+        # [3]/[2] = (1-q^3)/(1-q^2)
+        with pytest.raises(NotPolynomial):
+            q_product([(3, 1), (1, -1), (2, -1), (1, 1)])
+        with pytest.raises(NotPolynomial):
+            q_product([(2, -1), (1, 1)], base=q_integer(3))
+        with pytest.raises(NotPolynomial):
+            q_product([(1, -1)])
+
+    def test_examples(self):
+        assert q_product([]) == ONE
+        assert q_product([(4, 1), (2, -1)]) == IntPoly([1, 0, 1])  # 1+q^2
+        assert q_product([(3, 1), (1, -1)], shift=2) == IntPoly([0, 0, 1, 1, 1])
+        assert q_product([(1, -2)], base=IntPoly([1, -2, 1])) == ONE
+        assert q_product([(5, 1), (5, -1)], base=IntPoly([7])) == IntPoly([7])
+        assert q_product([(2, -1)], base=ZERO) == ZERO
+
+    def test_bad_arguments(self):
+        with pytest.raises(ValueError):
+            q_product([(0, 1)])
+        with pytest.raises(ValueError):
+            q_product([], shift=-1)
+
+
+def g_by_field(n, k):
+    """g_n(k) transcribed in the QScalar field."""
+    terms = {}
+    for j in range((n - k) // 2 + 1):
+        c = QScalar(gauss_binomial(n, k)) * q_pow(j * j + k * j + math.comb(k, 2)) \
+            * gauss_binomial(n - k, 2 * j) * q_odd_double_factorial(j)
+        for i in range(k):
+            c = c * QScalar(ONE + IntPoly.q_power(n - j - i), ONE + IntPoly.q_power(j + 1 + i))
+        terms[(n - k - 2 * j, j)] = to_polynomial(c)
+    return XSPoly(terms)
+
+
+def corollary2_by_field(n, m, j):
+    c = q_pow(math.comb(j + 1, 2) + math.comb(n - m, 2)) * q_factorial(n)
+    for e in range(m + 1, n - j + 1):
+        c = c * (ONE + IntPoly.q_power(e))
+    return c / QScalar(q_even_product(n - m) * q_factorial(j) * q_factorial(m - j)
+                       * q_factorial(n - m - j))
+
+
+def corollary3_by_field(n, m, j):
+    c = q_pow(n * n + j * j - (m + j) * n) * q_factorial(n)
+    return c / QScalar(q_even_product(j) * q_factorial(j) * q_factorial(m - j)
+                       * q_factorial(n - m - j))
+
+
+class TestClosedFormsAgainstField:
+    """The closed forms built with q_product equal the same formulas
+    computed in the QScalar field, for every index with n <= 10."""
+
+    def test_g_coeff(self):
+        for n in range(11):
+            for k in range(n + 1):
+                assert g_coeff(n, k) == g_by_field(n, k)
+
+    def test_corollary_coeffs(self):
+        for n in range(11):
+            for m, j in _triangle(n):
+                assert corollary2_coeff(n, m, j) == corollary2_by_field(n, m, j)
+                assert corollary3_coeff(n, m, j) == corollary3_by_field(n, m, j)
 
 
 class TestToPolynomial:
