@@ -9,12 +9,13 @@ the q-Weyl algebra (D acts as the q-derivative), 1 the classical one.  The
 scalar s commutes with both generators and is carried as a separate power on
 each term, never inside words.
 
-Rewriting is leftmost-innermost with term-map accumulation: a word is
-consumed right to left, and prepending D to an already-normal X^a D^b uses
-the memoized normal form of D X^a, itself produced by iterating the single
-rule on its leftmost pair.  The result is independent of rewrite order
-(confluence); the test suite checks this against a naive rewriter that picks
-random positions.
+There is one rewrite path.  Composing two normal forms only needs the
+normal form of D^b X^a, kept in one memo table: its row b = 1 (D X^a) comes
+from iterating the rule, and each row b >= 2 from the row above and row 1.
+A word is the composition of its letters, and a power the composition of
+its factors, so both go through the same product.  The result is
+independent of rewrite order (confluence); the test suite checks this
+against a naive rewriter that picks random positions.
 
 NormalOp values are the ground truth ("oracle") that every closed-form
 coefficient formula in the families module is verified against.
@@ -80,71 +81,48 @@ class OpExpr:
         return OpExpr(self.terms + other.terms)
 
 
-# Normal forms of D X^a and D^b X^a, memoized per twist.  Read-mostly dicts;
-# concurrent readers are safe, a missed entry is simply recomputed.
-_D_PAST_X: dict[tuple[QScalar, int], dict[tuple[int, int], QScalar]] = {}
+# Normal forms of D^b X^a, memoized per twist in one flat dict keyed
+# (twist, b, a).  Read-mostly; concurrent readers are safe, a missed entry is
+# simply recomputed.
 _D_POW_PAST_X: dict[tuple[QScalar, int, int], dict[tuple[int, int], QScalar]] = {}
 
 
-def _d_past_x_pow(a: int, twist: QScalar) -> dict[tuple[int, int], QScalar]:
-    """Normal form of the word D X^a, by iterating the rule on the leftmost pair."""
-    if a == 0:
-        return {(0, 1): QSCALAR_ONE}
-    cached = _D_PAST_X.get((twist, a))
-    if cached is not None:
-        return cached
-    # Fill the memo upward from the highest power below a already in it, so
-    # that no call recurses, however large a is.
-    known = a - 1
-    while known > 0 and (twist, known) not in _D_PAST_X:
-        known -= 1
-    prev = _d_past_x_pow(known, twist)
-    for i in range(known + 1, a + 1):
-        # D X^i = (twist*X*D + 1) X^(i-1) = twist * X * (D X^(i-1)) + X^(i-1)
-        out = {(x + 1, d): twist * c for (x, d), c in prev.items()}
-        key = (i - 1, 0)
-        out[key] = out.get(key, QSCALAR_ZERO) + QSCALAR_ONE
-        _D_PAST_X[(twist, i)] = prev = out
-    return prev
-
-
 def _d_pow_past_x_pow(b: int, a: int, twist: QScalar) -> dict[tuple[int, int], QScalar]:
-    """Normal form of D^b X^a."""
+    """Normal form of D^b X^a.
+
+    Row b = 1 (D X^a) comes from the rule alone; row b from row b - 1 and
+    row 1.  Each row fills upward from the highest entry already present,
+    so no call recurses, however large a or b is."""
     if b == 0 or a == 0:
         return {(a, b): QSCALAR_ONE}
     cached = _D_POW_PAST_X.get((twist, b, a))
     if cached is not None:
         return cached
-    # Fill the memo upward in b, as _d_past_x_pow does in a.
+    if b == 1:
+        known = a - 1
+        while known > 0 and (twist, 1, known) not in _D_POW_PAST_X:
+            known -= 1
+        prev = _d_pow_past_x_pow(1, known, twist)
+        for i in range(known + 1, a + 1):
+            # D X^i = (twist*X*D + 1) X^(i-1) = twist * X * (D X^(i-1)) + X^(i-1)
+            out = {(x + 1, d): twist * c for (x, d), c in prev.items()}
+            key = (i - 1, 0)
+            out[key] = out.get(key, QSCALAR_ZERO) + QSCALAR_ONE
+            _D_POW_PAST_X[(twist, 1, i)] = prev = out
+        return prev
     known = b - 1
-    while known > 0 and (twist, known, a) not in _D_POW_PAST_X:
+    while known > 1 and (twist, known, a) not in _D_POW_PAST_X:
         known -= 1
     prev = _d_pow_past_x_pow(known, a, twist)
     for i in range(known + 1, b + 1):
         # D^i X^a = D (D^(i-1) X^a)
-        out: dict[tuple[int, int], QScalar] = {}
+        out = {}
         for (x, d), c in prev.items():
-            for (x2, d2), c2 in _d_past_x_pow(x, twist).items():
+            for (x2, d2), c2 in _d_pow_past_x_pow(1, x, twist).items():
                 key = (x2, d2 + d)
                 out[key] = out.get(key, QSCALAR_ZERO) + c * c2
         _D_POW_PAST_X[(twist, i, a)] = prev = {k: v for k, v in out.items() if not v.is_zero()}
     return prev
-
-
-def _word_normal_form(word: Sequence[str], twist: QScalar) -> dict[tuple[int, int], QScalar]:
-    """Normal form of a single word, consumed right to left."""
-    acc: dict[tuple[int, int], QScalar] = {(0, 0): QSCALAR_ONE}
-    for letter in reversed(word):
-        if letter == X:
-            acc = {(a + 1, b): c for (a, b), c in acc.items()}
-        else:
-            new: dict[tuple[int, int], QScalar] = {}
-            for (a, b), c in acc.items():
-                for (x, d), c2 in _d_past_x_pow(a, twist).items():
-                    key = (x, d + b)
-                    new[key] = new.get(key, QSCALAR_ZERO) + c * c2
-            acc = {k: v for k, v in new.items() if not v.is_zero()}
-    return acc
 
 
 class NormalOp:
@@ -282,13 +260,17 @@ class NormalOp:
 
 
 def normal_order(e: OpExpr, twist: QScalar) -> NormalOp:
-    """Rewrite every word of an unreduced expression to normal form and
-    collect like terms."""
+    """Normal form of an unreduced expression: each word is the composition
+    of its letters, applied to coef * s^m, and like terms are collected."""
+    letters = {X: NormalOp(twist, {(1, 0, 0): QSCALAR_ONE}),
+               D: NormalOp(twist, {(0, 1, 0): QSCALAR_ONE})}
     out: dict[Key, QScalar] = {}
     for coef, s_pow, word in e.terms:
-        for (a, b), c in _word_normal_form(word, twist).items():
-            key = (a, b, s_pow)
-            out[key] = out.get(key, QSCALAR_ZERO) + coef * c
+        op = NormalOp(twist, {(0, 0, s_pow): coef})
+        for letter in reversed(word):
+            op = letters[letter] * op
+        for key, c in op.terms.items():
+            out[key] = out.get(key, QSCALAR_ZERO) + c
     return NormalOp(twist, out)
 
 
@@ -320,7 +302,4 @@ def power(base: NormalOp, n: int) -> NormalOp:
     """n-fold composition of base with itself; power(base, 0) is the identity."""
     if n < 0:
         raise ValueError("operator power must be nonnegative")
-    result = NormalOp.identity(base.twist)
-    for _ in range(n):
-        result = result * base
-    return result
+    return product([base] * n, base.twist)

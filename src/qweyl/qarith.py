@@ -492,12 +492,13 @@ def q_product(factors: Iterable[tuple[int, int]], shift: int = 0,
     net: dict[int, int] = {}
     for k, e in factors:
         net[k] = net.get(k, 0) + e
+    for k, e in net.items():
+        if e and k < 1:
+            raise ValueError(f"factor 1-q^{k} needs k >= 1")
     c = list(base.coeffs)
     if not c:
         return ZERO
     for k, e in net.items():
-        if e and k < 1:
-            raise ValueError(f"factor 1-q^{k} needs k >= 1")
         for _ in range(e):
             pad = [0] * k
             c = [a - b for a, b in zip(c + pad, pad + c)]

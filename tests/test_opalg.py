@@ -40,6 +40,10 @@ def naive_normal_order(word, twist, rng):
     return {k: v for k, v in acc.items() if not v.is_zero()}
 
 
+def random_word(rng, max_len):
+    return tuple(rng.choice((X, D)) for _ in range(rng.randint(0, max_len)))
+
+
 def x_plus_sd_squared():
     """(X+sD)^2 written out as an unreduced expression."""
     return OpExpr.from_terms([
@@ -70,13 +74,13 @@ class TestNormalOrder:
 
     def test_confluence_random_orders(self):
         rng = random.Random(20110720)
-        for _ in range(60):
-            n = rng.randint(0, 8)
-            word = tuple(rng.choice((X, D)) for _ in range(n))
-            engine = normal_order(OpExpr.word(word), TWIST_Q)
-            for _ in range(3):
-                naive = naive_normal_order(word, TWIST_Q, rng)
-                assert {(a, b, 0): c for (a, b), c in naive.items()} == engine.terms
+        for twist in (TWIST_Q, TWIST_ONE):
+            for _ in range(60):
+                word = random_word(rng, 8)
+                engine = normal_order(OpExpr.word(word), twist)
+                for _ in range(3):
+                    naive = naive_normal_order(word, twist, rng)
+                    assert {(a, b, 0): c for (a, b), c in naive.items()} == engine.terms
 
     def test_repeated_words_collect(self):
         e = OpExpr.from_terms([(1, 0, (X,)), (2, 0, (X,))])
@@ -84,21 +88,30 @@ class TestNormalOrder:
 
 
 class TestDeepWords:
-    """The memos of D X^a and D^b X^a fill upward: with both cold, a word
-    with 300 X's, or D^300 X, needs a few frames, not one per power."""
+    """The D^b X^a memo fills upward, row 1 in a and the other rows in b:
+    with it cold, a word with 300 X's, or D^300 X, needs a few frames, not
+    one per power."""
 
     A = 300
 
     def test_d_past_many_x(self, spare_frames):
         a = self.A
-        opalg._D_PAST_X.clear()
+        opalg._D_POW_PAST_X.clear()
         with spare_frames(50):
             op = normal_order(OpExpr.word("D" + "X" * a), TWIST_Q)
         assert op.terms == {(a, 1, 0): q_pow(a), (a - 1, 0, 0): QScalar(q_integer(a))}
 
+    def test_d_times_many_x(self, spare_frames):
+        a = self.A
+        opalg._D_POW_PAST_X.clear()
+        with spare_frames(50):
+            op = NormalOp(TWIST_Q, {(0, 1, 0): 1}) * NormalOp(TWIST_Q, {(a, 0, 0): 1})
+        assert op.terms == {(a, 1, 0): q_pow(a), (a - 1, 0, 0): QScalar(q_integer(a))}
+        assert len(opalg._D_POW_PAST_X) == a
+
     def test_ddd_past_many_x(self, spare_frames):
         a = self.A
-        opalg._D_PAST_X.clear()
+        opalg._D_POW_PAST_X.clear()
         with spare_frames(50):
             op = normal_order(OpExpr.word("DDD" + "X" * a), TWIST_Q)
         assert len(op.terms) == 4
@@ -153,6 +166,15 @@ class TestMul:
     def test_twist_mismatch(self):
         with pytest.raises(TwistMismatch):
             affine_factor(1, TWIST_Q) * affine_factor(1, TWIST_ONE)
+
+    def test_matches_naive_rewriting_of_concatenation(self):
+        rng = random.Random(1006)
+        for twist in (TWIST_Q, TWIST_ONE):
+            for _ in range(60):
+                w1, w2 = random_word(rng, 6), random_word(rng, 6)
+                got = normal_order(OpExpr.word(w1), twist) * normal_order(OpExpr.word(w2), twist)
+                naive = naive_normal_order(w1 + w2, twist, rng)
+                assert got.terms == {(a, b, 0): c for (a, b), c in naive.items()}
 
     def test_faithfulness_on_monomials(self):
         rng = random.Random(4)

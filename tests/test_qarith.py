@@ -237,6 +237,8 @@ class TestQProduct:
         with pytest.raises(ValueError):
             q_product([(0, 1)])
         with pytest.raises(ValueError):
+            q_product([(0, 1)], base=ZERO)
+        with pytest.raises(ValueError):
             q_product([], shift=-1)
 
 
