@@ -338,12 +338,12 @@ def qweyl_binomial(n: int, m: int, l: int, path: str = "closed") -> IntPoly:
     """
     if n < 0:
         raise ValueError("qweyl_binomial requires n >= 0")
+    if path not in QWEYL_PATHS:
+        raise ValueError(f"unknown path {path!r}; expected one of {QWEYL_PATHS}")
     if l < 0 or m < 0 or m > n or l > min(m, n - m):
         return ZERO
     if path == "closed":
         return _qweyl_closed(n, m, l)
     if path == "factored":
         return gauss_binomial(n - 2 * l, m - l) * _qweyl_closed(n, l, l)
-    if path == "recurrence":
-        return _qweyl_row(n).get((m, l), ZERO)
-    raise ValueError(f"unknown path {path!r}; expected one of {QWEYL_PATHS}")
+    return _qweyl_row(n).get((m, l), ZERO)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import index
 from typing import Iterable, Mapping, Sequence, Union
 
 from .polyring import XSPoly, _render_terms
@@ -33,6 +34,8 @@ from .qarith import (
     QSCALAR_ONE,
     QSCALAR_Q,
     QSCALAR_ZERO,
+    SCALAR_TYPES,
+    Scalar,
 )
 
 X = "X"
@@ -59,23 +62,20 @@ class OpExpr:
 
     def __post_init__(self):
         for _, s_pow, word in self.terms:
-            if s_pow < 0:
+            if index(s_pow) < 0:
                 raise ValueError("s power must be nonnegative")
             for letter in word:
                 if letter not in (X, D):
                     raise ValueError(f"unknown generator {letter!r}")
 
     @classmethod
-    def word(cls, letters: Union[str, Sequence[str]], coef: Union[QScalar, int] = 1,
+    def word(cls, letters: Union[str, Sequence[str]], coef: Scalar = 1,
              s_power: int = 0) -> "OpExpr":
-        coef = coef if isinstance(coef, QScalar) else QScalar(coef)
-        return cls(((coef, s_power, tuple(letters)),))
+        return cls(((QScalar.of(coef), s_power, tuple(letters)),))
 
     @classmethod
-    def from_terms(cls, terms: Iterable[tuple[Union[QScalar, int], int, Sequence[str]]]) -> "OpExpr":
-        return cls(tuple(
-            (c if isinstance(c, QScalar) else QScalar(c), m, tuple(w))
-            for c, m, w in terms))
+    def from_terms(cls, terms: Iterable[tuple[Scalar, int, Sequence[str]]]) -> "OpExpr":
+        return cls(tuple((QScalar.of(c), m, tuple(w)) for c, m, w in terms))
 
     def __add__(self, other: "OpExpr") -> "OpExpr":
         return OpExpr(self.terms + other.terms)
@@ -130,17 +130,16 @@ class NormalOp:
 
     __slots__ = ("twist", "terms")
 
-    def __init__(self, twist: QScalar, terms: Mapping[Key, QScalar] = ()):
+    def __init__(self, twist: Scalar, terms: Mapping[Key, Scalar] = ()):
         clean: dict[Key, QScalar] = {}
         for key, c in dict(terms).items():
             a, b, m = key
-            if a < 0 or b < 0 or m < 0:
+            if index(a) < 0 or index(b) < 0 or index(m) < 0:
                 raise ValueError("NormalOp exponents must be nonnegative")
-            if not isinstance(c, QScalar):
-                c = QScalar(c)
+            c = QScalar.of(c)
             if not c.is_zero():
                 clean[key] = c
-        object.__setattr__(self, "twist", twist)
+        object.__setattr__(self, "twist", QScalar.of(twist))
         object.__setattr__(self, "terms", clean)
 
     def __setattr__(self, name, value):
@@ -182,19 +181,13 @@ class NormalOp:
     def __sub__(self, other) -> "NormalOp":
         return self + (-other)
 
-    def scale(self, c: Union[QScalar, int]) -> "NormalOp":
-        if not isinstance(c, QScalar):
-            c = QScalar(c)
+    def scale(self, c: Scalar) -> "NormalOp":
+        c = QScalar.of(c)
         return NormalOp(self.twist, {k: v * c for k, v in self.terms.items()})
-
-    def __rmul__(self, other):
-        if isinstance(other, (QScalar, int)):
-            return self.scale(other)
-        return NotImplemented
 
     def __mul__(self, other) -> "NormalOp":
         """Normal form of the composition self after other."""
-        if isinstance(other, (QScalar, int)):
+        if isinstance(other, SCALAR_TYPES):
             return self.scale(other)
         if not isinstance(other, NormalOp):
             return NotImplemented
@@ -208,6 +201,8 @@ class NormalOp:
                     key = (a1 + x, d + b2, m1 + m2)
                     out[key] = out.get(key, QSCALAR_ZERO) + c12 * c
         return NormalOp(self.twist, out)
+
+    __rmul__ = __mul__  # scalars are central
 
     def apply(self, p: XSPoly) -> XSPoly:
         """Act on a polynomial: X multiplies by x, D is the q-derivative,
@@ -274,10 +269,8 @@ def normal_order(e: OpExpr, twist: QScalar) -> NormalOp:
     return NormalOp(twist, out)
 
 
-def affine_factor(c: Union[QScalar, int], twist: QScalar) -> NormalOp:
+def affine_factor(c: Scalar, twist: QScalar) -> NormalOp:
     """The operator X + c*s*D."""
-    if not isinstance(c, QScalar):
-        c = QScalar(c)
     return NormalOp(twist, {(1, 0, 0): QSCALAR_ONE, (0, 1, 1): c})
 
 

@@ -5,33 +5,28 @@ with zero coefficients never stored.  The q-derivative and the classical
 derivative act in x only; s is a passive parameter throughout.  The
 q-derivative is defined on the monomial basis, x^a -> [a] x^(a-1), so that
 specializing q = 1 is total (the difference quotient would be 0/0 there).
+Scalars go through qarith's QScalar.of, so qarith alone decides what one is;
+exponents must be nonnegative ints.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import index
 from typing import Iterable, Mapping, Union
 
 from .qarith import (
-    IntPoly,
     QScalar,
     QSCALAR_ONE,
     QSCALAR_ZERO,
+    SCALAR_TYPES,
+    Scalar,
+    _rational,
     q_integer,
     q_pow,
 )
 
 Key = tuple[int, int]
-
-ScalarLike = Union[QScalar, IntPoly, int]
-
-
-def _scalar(c: ScalarLike) -> QScalar:
-    if isinstance(c, QScalar):
-        return c
-    if isinstance(c, IntPoly):
-        return QScalar(c)
-    return QScalar(int(c))
 
 
 class XSPoly:
@@ -39,12 +34,12 @@ class XSPoly:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[Key, ScalarLike] = ()):
+    def __init__(self, terms: Mapping[Key, Scalar] = ()):
         clean: dict[Key, QScalar] = {}
         for (a, b), c in dict(terms).items():
-            if a < 0 or b < 0:
+            if index(a) < 0 or index(b) < 0:
                 raise ValueError("exponents must be nonnegative")
-            c = _scalar(c)
+            c = QScalar.of(c)
             if not c.is_zero():
                 clean[(a, b)] = c
         object.__setattr__(self, "terms", clean)
@@ -69,11 +64,11 @@ class XSPoly:
         return cls({(0, b): QSCALAR_ONE})
 
     @classmethod
-    def monomial(cls, a: int, b: int, coef: ScalarLike = 1) -> "XSPoly":
+    def monomial(cls, a: int, b: int, coef: Scalar = 1) -> "XSPoly":
         return cls({(a, b): coef})
 
     @classmethod
-    def const(cls, c: ScalarLike) -> "XSPoly":
+    def const(cls, c: Scalar) -> "XSPoly":
         return cls({(0, 0): c})
 
     def is_zero(self) -> bool:
@@ -111,7 +106,7 @@ class XSPoly:
         return self + (-other)
 
     def __mul__(self, other) -> "XSPoly":
-        if isinstance(other, (QScalar, IntPoly, int)):
+        if isinstance(other, SCALAR_TYPES):
             return self.scale(other)
         if not isinstance(other, XSPoly):
             return NotImplemented
@@ -122,10 +117,7 @@ class XSPoly:
                 out[k] = out.get(k, QSCALAR_ZERO) + c1 * c2
         return XSPoly(out)
 
-    def __rmul__(self, other) -> "XSPoly":
-        if isinstance(other, (QScalar, IntPoly, int)):
-            return self.scale(other)
-        return NotImplemented
+    __rmul__ = __mul__  # scalars commute with x and s
 
     def __pow__(self, n: int) -> "XSPoly":
         if n < 0:
@@ -135,15 +127,15 @@ class XSPoly:
             result = result * self
         return result
 
-    def scale(self, c: ScalarLike) -> "XSPoly":
-        c = _scalar(c)
+    def scale(self, c: Scalar) -> "XSPoly":
+        c = QScalar.of(c)
         if c.is_zero():
             return XSPoly.zero()
         return XSPoly({k: v * c for k, v in self.terms.items()})
 
-    def shift(self, dx: int, ds: int, coef: ScalarLike = 1) -> "XSPoly":
+    def shift(self, dx: int, ds: int, coef: Scalar = 1) -> "XSPoly":
         """Multiply by coef * x^dx * s^ds."""
-        coef = _scalar(coef)
+        coef = QScalar.of(coef)
         if coef.is_zero():
             return XSPoly.zero()
         return XSPoly({(a + dx, b + ds): c * coef for (a, b), c in self.terms.items()})
@@ -173,17 +165,18 @@ class XSPoly:
         return XSPoly({(xa, sb): c * q_pow(a * xa + b * sb)
                        for (xa, sb), c in self.terms.items()})
 
-    def scale_s(self, c: ScalarLike) -> "XSPoly":
+    def scale_s(self, c: Scalar) -> "XSPoly":
         """Substitution s -> c*s, e.g. the s -> -s and s -> (1-q)s arguments."""
-        c = _scalar(c)
+        c = QScalar.of(c)
         return XSPoly({(a, b): v * c ** b for (a, b), v in self.terms.items()})
 
     def evaluate(self, x0: Union[int, Fraction], s0: Union[int, Fraction],
                  q0: Union[int, Fraction]) -> Fraction:
         """Exact value at (x0, s0) with q = q0; PoleAtPoint if a coefficient has one."""
+        x0, s0 = Fraction(_rational(x0)), Fraction(_rational(s0))
         total = Fraction(0)
         for (a, b), c in self.terms.items():
-            total += c.evaluate(q0) * Fraction(x0) ** a * Fraction(s0) ** b
+            total += c.evaluate(q0) * x0 ** a * s0 ** b
         return total
 
     def sorted_terms(self) -> list[tuple[Key, QScalar]]:

@@ -13,13 +13,18 @@ built on two value types defined here:
               Canonical form makes == structural, so values can be compared
               and hashed directly.
 
-No floating point is used anywhere; point evaluation returns Fraction.
+No floating point is used anywhere.  This module alone decides what a
+scalar is: SCALAR_TYPES (QScalar, IntPoly, int), lifted by QScalar.of, which
+every constructor downstream calls.  A float, Fraction or str raises
+TypeError at the call.  A rational number (QScalar.from_fraction, an
+evaluation point) must be an int or a Fraction.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import threading
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -46,7 +51,7 @@ class IntPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int] = ()):
-        object.__setattr__(self, "coeffs", _strip(tuple(int(c) for c in coeffs)))
+        object.__setattr__(self, "coeffs", _strip(tuple(map(operator.index, coeffs))))
 
     def __setattr__(self, name, value):
         raise AttributeError("IntPoly is immutable")
@@ -108,9 +113,7 @@ class IntPoly:
     __radd__ = __add__
 
     def __sub__(self, other) -> "IntPoly":
-        if isinstance(other, int):
-            other = IntPoly.const(other)
-        if not isinstance(other, IntPoly):
+        if not isinstance(other, (IntPoly, int)):
             return NotImplemented
         return self + (-other)
 
@@ -149,6 +152,7 @@ class IntPoly:
 
     def evaluate(self, r: Union[int, Fraction]) -> Fraction:
         """Exact value at q = r (Horner)."""
+        r = _rational(r)
         acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * r + c
@@ -191,6 +195,13 @@ class IntPoly:
 ZERO = IntPoly()
 ONE = IntPoly((1,))
 Q = IntPoly((0, 1))
+
+
+def _rational(r: Union[int, Fraction]) -> Union[int, Fraction]:
+    """r itself, when it is an exact rational number: an int or a Fraction."""
+    if not isinstance(r, (int, Fraction)):
+        raise TypeError(f"not an exact rational (int or Fraction): {type(r).__name__}")
+    return r
 
 
 def _divexact(a: IntPoly, b: IntPoly) -> IntPoly:
@@ -266,8 +277,8 @@ class QScalar:
     __slots__ = ("num", "den")
 
     def __init__(self, num: Union[int, IntPoly], den: Union[int, IntPoly] = ONE):
-        num = IntPoly.const(num) if isinstance(num, int) else num
-        den = IntPoly.const(den) if isinstance(den, int) else den
+        num = num if isinstance(num, IntPoly) else IntPoly.const(num)
+        den = den if isinstance(den, IntPoly) else IntPoly.const(den)
         if den.is_zero():
             raise ZeroDivisionError("QScalar denominator is zero")
         if num.is_zero():
@@ -294,8 +305,18 @@ class QScalar:
         return obj
 
     @classmethod
+    def of(cls, value: Scalar) -> "QScalar":
+        """value as a QScalar: a QScalar unchanged, an int or IntPoly over 1."""
+        if isinstance(value, QScalar):
+            return value
+        if not isinstance(value, SCALAR_TYPES):
+            raise TypeError(f"not a scalar (QScalar, IntPoly or int): {type(value).__name__}")
+        return cls._raw(value if isinstance(value, IntPoly) else IntPoly.const(value), ONE)
+
+    @classmethod
     def from_fraction(cls, f: Fraction) -> "QScalar":
-        return cls(IntPoly.const(f.numerator), IntPoly.const(f.denominator))
+        f = _rational(f)
+        return cls(f.numerator, f.denominator)
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -303,19 +324,10 @@ class QScalar:
     def __bool__(self) -> bool:
         return not self.num.is_zero()
 
-    def _coerce(self, other):
-        if isinstance(other, QScalar):
-            return other
-        if isinstance(other, int):
-            return QScalar._raw(IntPoly.const(other), ONE)
-        if isinstance(other, IntPoly):
-            return QScalar._raw(other, ONE)
-        return None
-
     def __eq__(self, other) -> bool:
-        other = self._coerce(other)
-        if other is None:
+        if not isinstance(other, SCALAR_TYPES):
             return NotImplemented
+        other = QScalar.of(other)
         return self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
@@ -328,9 +340,9 @@ class QScalar:
         return QScalar._raw(-self.num, self.den)
 
     def __add__(self, other) -> "QScalar":
-        other = self._coerce(other)
-        if other is None:
+        if not isinstance(other, SCALAR_TYPES):
             return NotImplemented
+        other = QScalar.of(other)
         if self.den == ONE and other.den == ONE:
             return QScalar._raw(self.num + other.num, ONE)
         return QScalar(self.num * other.den + other.num * self.den,
@@ -339,8 +351,7 @@ class QScalar:
     __radd__ = __add__
 
     def __sub__(self, other) -> "QScalar":
-        other = self._coerce(other)
-        if other is None:
+        if not isinstance(other, SCALAR_TYPES):
             return NotImplemented
         return self + (-other)
 
@@ -348,9 +359,9 @@ class QScalar:
         return (-self) + other
 
     def __mul__(self, other) -> "QScalar":
-        other = self._coerce(other)
-        if other is None:
+        if not isinstance(other, SCALAR_TYPES):
             return NotImplemented
+        other = QScalar.of(other)
         if self.den == ONE and other.den == ONE:
             return QScalar._raw(self.num * other.num, ONE)
         return QScalar(self.num * other.num, self.den * other.den)
@@ -358,18 +369,17 @@ class QScalar:
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "QScalar":
-        other = self._coerce(other)
-        if other is None:
+        if not isinstance(other, SCALAR_TYPES):
             return NotImplemented
+        other = QScalar.of(other)
         if other.is_zero():
             raise ZeroDivisionError("division by zero QScalar")
         return QScalar(self.num * other.den, self.den * other.num)
 
     def __rtruediv__(self, other) -> "QScalar":
-        other = self._coerce(other)
-        if other is None:
+        if not isinstance(other, SCALAR_TYPES):
             return NotImplemented
-        return other / self
+        return QScalar.of(other) / self
 
     def __pow__(self, n: int) -> "QScalar":
         if n < 0:
@@ -399,6 +409,9 @@ class QScalar:
             return str(self.num)
         return f"({self.num})/({self.den})"
 
+
+SCALAR_TYPES = (QScalar, IntPoly, int)  # the values QScalar.of accepts
+Scalar = Union[QScalar, IntPoly, int]
 
 QSCALAR_ZERO = QScalar._raw(ZERO, ONE)
 QSCALAR_ONE = QScalar._raw(ONE, ONE)

@@ -23,7 +23,6 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 from .families import (
     ONE_MINUS_Q,
     _triangle,
-    _xsd_power,
     a_coeff,
     apply_exp_q2,
     big_hermite,
@@ -79,11 +78,6 @@ class VerificationReport:
 # Theorem cases: operator identities, engine on the left, closed forms right.
 # ---------------------------------------------------------------------------
 
-def _q1_powers(ns: range) -> Iterator[tuple[int, NormalOp]]:
-    """(n, (X+sD)^n at q = 1), from the memoized q-powers."""
-    return ((n, _xsd_power(n).specialize_q(1)) for n in ns)
-
-
 def _operators(kind: str, ns: range) -> Iterator[tuple[int, NormalOp]]:
     """(n, normal form of the n-th operator of an OPERATORS kind)."""
     return zip(ns, islice(operator_sequence(kind), ns.start, None))
@@ -112,12 +106,14 @@ def _expanded_case(lhs: Iterable[tuple[int, NormalOp]],
 
 def _case_t1(ns: range) -> Iterator[Comparison]:
     """(X+sD)^n = sum_k C(n,k) H_(n-k)(X,s) (sD)^k at q = 1."""
-    return _sd_sum_case(_q1_powers(ns), lambda n, k: (math.comb(n, k), hermite(n - k)))
+    return _sd_sum_case(_operators("classical", ns),
+                        lambda n, k: (math.comb(n, k), hermite(n - k)))
 
 
 def _case_c1(ns: range) -> Iterator[Comparison]:
     """Normal form of (X+sD)^n at q = 1 has Weyl binomial coefficients."""
-    return _expanded_case(_q1_powers(ns), lambda n, m, j: QScalar(weyl_binomial(n, m, j)))
+    return _expanded_case(_operators("classical", ns),
+                          lambda n, m, j: QScalar(weyl_binomial(n, m, j)))
 
 
 def _case_t2(ns: range) -> Iterator[Comparison]:

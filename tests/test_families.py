@@ -314,6 +314,8 @@ class TestQWeylBinomial:
     def test_unknown_path(self):
         with pytest.raises(ValueError):
             qweyl_binomial(2, 1, 0, path="magic")
+        with pytest.raises(ValueError):
+            qweyl_binomial(3, 5, 0, path="bogus")
 
     def test_paths_agree(self):
         for n in range(9):

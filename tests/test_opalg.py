@@ -1,6 +1,7 @@
 """Normal ordering engine: rewriting, composition, and operator action."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -20,6 +21,10 @@ from qweyl.opalg import (
 )
 from qweyl.polyring import XSPoly
 from qweyl.qarith import IntPoly, QScalar, QSCALAR_ONE, QSCALAR_ZERO, q_integer, q_pow
+
+
+# Inexact scalars: every entry point must raise TypeError on each.
+INEXACT = (1.5, Fraction(1, 2), "1")
 
 
 def naive_normal_order(word, twist, rng):
@@ -199,6 +204,45 @@ class TestAffineFactor:
             (1, 0, 0): QSCALAR_ONE, (0, 1, 1): QSCALAR_ONE}
         c = q_pow(5)
         assert affine_factor(c, TWIST_Q).terms[(0, 1, 1)] == c
+        assert affine_factor(IntPoly([1, -1]), TWIST_Q).terms[(0, 1, 1)] == IntPoly([1, -1])
+
+
+class TestScalars:
+    @pytest.mark.parametrize("bad", INEXACT)
+    def test_inexact_scalars_rejected(self, bad):
+        e = NormalOp.identity(TWIST_Q)
+        for call in (lambda: NormalOp(TWIST_Q, {(1, 0, 0): bad}), lambda: NormalOp(bad),
+                     lambda: e.scale(bad),
+                     lambda: e * bad, lambda: bad * e,
+                     lambda: OpExpr.word("X", bad),
+                     lambda: OpExpr.from_terms([(bad, 0, "X")]),
+                     lambda: affine_factor(bad, TWIST_Q)):
+            with pytest.raises(TypeError):
+                call()
+
+    def test_specialize_rejects_inexact_point(self):
+        op = affine_factor(1, TWIST_Q)
+        for point in (0.5, "1/2"):
+            with pytest.raises(TypeError):
+                op.specialize_q(point)
+        assert op.specialize_q(Fraction(1, 2)) == affine_factor(1, QScalar(1, 2))
+
+    def test_non_integer_exponents_rejected(self):
+        for e in INEXACT:
+            with pytest.raises(TypeError):
+                NormalOp(TWIST_Q, {(e, 0, 0): 1})
+            with pytest.raises(TypeError):
+                NormalOp(TWIST_Q, {(0, 0, e): 1})
+            with pytest.raises(TypeError):
+                OpExpr.word("X", s_power=e)
+
+    def test_int_bool_and_intpoly_scalars(self):
+        e = NormalOp.identity(TWIST_Q)
+        p = IntPoly([1, 1])
+        assert p * e == e * p == e.scale(p) == NormalOp(TWIST_Q, {(0, 0, 0): p})
+        assert e.scale(True) == True * e == e
+        assert normal_order(OpExpr.word("DX", True), TWIST_Q) == \
+            normal_order(OpExpr.from_terms([(1, 0, "DX")]), TWIST_Q)
 
 
 class TestProduct:

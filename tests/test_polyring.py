@@ -21,6 +21,9 @@ terms_strategy = st.dictionaries(
 )
 polys = terms_strategy.map(XSPoly)
 
+# Inexact scalars: every entry point must raise TypeError on each.
+INEXACT = (1.5, Fraction(1, 2), "1")
+
 
 class TestConstruction:
     def test_zero_coefficients_dropped(self):
@@ -32,12 +35,30 @@ class TestConstruction:
         with pytest.raises(ValueError):
             XSPoly({(-1, 0): 1})
 
+    def test_non_integer_exponents_rejected(self):
+        for e in INEXACT:
+            with pytest.raises(TypeError):
+                XSPoly.x(e)
+            with pytest.raises(TypeError):
+                XSPoly({(0, e): 1})
+
+    @pytest.mark.parametrize("bad", INEXACT)
+    def test_inexact_scalars_rejected(self, bad):
+        x = XSPoly.x()
+        for call in (lambda: XSPoly({(1, 0): bad}), lambda: x.scale(bad),
+                     lambda: XSPoly.zero().scale(bad), lambda: x.shift(1, 0, bad),
+                     lambda: x.scale_s(bad), lambda: x * bad, lambda: bad * x):
+            with pytest.raises(TypeError):
+                call()
+
     def test_ring_ops(self):
         x, s = XSPoly.x(), XSPoly.s()
         assert (x + s) - x == s
         assert x * s == XSPoly.monomial(1, 1)
         assert (x + s) * (x - s) == x * x - s * s
         assert 3 * x == XSPoly.monomial(1, 0, 3)
+        assert XSPoly({(1, 0): True}) == x.scale(True) == x
+        assert IntPoly([1, 1]) * x == x * IntPoly([1, 1]) == XSPoly({(1, 0): IntPoly([1, 1])})
 
 
 class TestDq:
@@ -113,6 +134,14 @@ class TestEvaluate:
         assert XSPoly.zero().evaluate(3, 4, 5) == 0
         l2 = XSPoly({(2, 0): 1, (0, 1): IntPoly([1, 1])})  # x^2 + (1+q)s
         assert l2.evaluate(1, 1, 2) == 4
+
+    def test_inexact_point_rejected(self):
+        x = XSPoly.x()
+        for point in (0.5, "1/2"):
+            for args in ((1, 1, point), (point, 1, 1), (1, point, 1)):
+                with pytest.raises(TypeError):
+                    x.evaluate(*args)
+        assert x.evaluate(Fraction(1, 2), 1, Fraction(1, 3)) == Fraction(1, 2)
 
     def test_pole_in_coefficient(self):
         from qweyl.qarith import PoleAtPoint, QScalar

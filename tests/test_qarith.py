@@ -37,6 +37,9 @@ def gauss_by_factorials(n, k):
     return to_polynomial(ratio)
 
 
+# Inexact scalars: every entry point must raise TypeError on each.
+INEXACT = (1.5, Fraction(1, 2), "1")
+
 small_polys = st.lists(st.integers(-20, 20), max_size=6).map(IntPoly)
 nonzero_polys = small_polys.filter(lambda p: not p.is_zero())
 
@@ -59,6 +62,20 @@ class TestIntPoly:
         p = IntPoly([1, 1, 2])
         assert p.evaluate(1) == 4
         assert p.evaluate(Fraction(1, 2)) == Fraction(2)
+
+    def test_evaluate_rejects_inexact_point(self):
+        for point in (0.5, "1/2"):
+            with pytest.raises(TypeError):
+                IntPoly([1, 1]).evaluate(point)
+            with pytest.raises(TypeError):
+                eval_q(QScalar(IntPoly([1, 1]), IntPoly([1, -1])), point)
+
+    @pytest.mark.parametrize("bad", INEXACT)
+    def test_inexact_coefficient_rejected(self, bad):
+        with pytest.raises(TypeError):
+            IntPoly([1, bad])
+        with pytest.raises(TypeError):
+            IntPoly.const(bad)
 
     def test_str(self):
         assert str(IntPoly([1, 1, 1])) == "1+q+q^2"
@@ -118,6 +135,35 @@ class TestQScalar:
         assert len({QScalar(IntPoly([1, 1])), IntPoly([1, 1])}) == 1
         assert len({QScalar(0), 0}) == 1
         assert len({IntPoly([-3]), -3, QScalar(-3)}) == 1
+
+
+class TestScalarBoundary:
+    def test_of_lifts_exact_scalars(self):
+        a = QScalar(IntPoly([0, 1]), IntPoly([1, 1]))
+        assert QScalar.of(a) is a
+        assert QScalar.of(3) == QScalar(3)
+        assert QScalar.of(True) == QScalar(1) == IntPoly([True])
+        assert QScalar.of(IntPoly([1, 1])) == QScalar(IntPoly([1, 1]))
+        assert QScalar.of(0).is_zero()
+
+    def test_from_fraction_takes_exact_rationals(self):
+        assert QScalar.from_fraction(Fraction(-2, 4)) == QScalar(-1, 2)
+        assert QScalar.from_fraction(3) == QScalar(3)
+        for bad in (0.5, "1/2"):
+            with pytest.raises(TypeError):
+                QScalar.from_fraction(bad)
+
+    @pytest.mark.parametrize("bad", INEXACT)
+    def test_inexact_rejected(self, bad):
+        with pytest.raises(TypeError):
+            QScalar.of(bad)
+        with pytest.raises(TypeError):
+            QScalar(bad)
+        with pytest.raises(TypeError):
+            QScalar(1, bad)
+        with pytest.raises(TypeError):
+            QScalar(1) + bad
+        assert QScalar(1) != bad
 
 
 class TestQInteger:
