@@ -71,12 +71,17 @@ OPERATORS: dict[str, _Operator] = {
 def operator_sequence(kind: str) -> Iterator[NormalOp]:
     """Normal forms of the operator OPERATORS[kind] for n = 0, 1, 2, ...,
     one composition per step."""
-    twist, c, left = OPERATORS[kind]
-    op = NormalOp.identity(twist)
+    op = NormalOp.identity(OPERATORS[kind].twist)
     for n in itertools.count(1):
         yield op
-        factor = affine_factor(c(n), twist)
-        op = factor * op if left else op * factor
+        op = _operator_step(kind, op, n)
+
+
+def _operator_step(kind: str, op: NormalOp, n: int) -> NormalOp:
+    """The n-th operator of OPERATORS[kind] from op, its (n-1)-th."""
+    twist, c, left = OPERATORS[kind]
+    factor = affine_factor(c(n), twist)
+    return factor * op if left else op * factor
 
 
 def _triangle(n: int) -> Iterator[tuple[int, int]]:
@@ -219,12 +224,12 @@ def corollary3_coeff(n: int, m: int, j: int) -> QScalar:
 def _xsd_power(n: int) -> NormalOp:
     """(X + sD)^n, the qpower row of OPERATORS, memoized for every n."""
     if n == 0:
-        return NormalOp.identity(TWIST_Q)
+        return NormalOp.identity(OPERATORS["qpower"].twist)
     # Fill the cache upward first, as hermite does, so that no call recurses
     # more than two deep, however large n is.
     for i in range(1, n - 1):
         _xsd_power(i)
-    return _xsd_power(n - 1) * affine_factor(1, TWIST_Q)
+    return _operator_step("qpower", _xsd_power(n - 1), n)
 
 
 @lru_cache(maxsize=None)

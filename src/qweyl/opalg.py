@@ -9,9 +9,10 @@ the q-Weyl algebra (D acts as the q-derivative), 1 the classical one.  The
 scalar s commutes with both generators and is carried as a separate power on
 each term, never inside words.
 
-There is one rewrite path.  Composing two normal forms only needs the
-normal form of D^b X^a, kept in one memo table: its row b = 1 (D X^a) comes
-from iterating the rule, and each row b >= 2 from the row above and row 1.
+There is one rewrite path.  The only memo table holds the rule's row, the
+normal form of D X^a, filled upward in a by the rule.  Composing A after B
+pushes D through B one power at a time, D^k B = D (D^(k-1) B), reading
+D X^a from that row, then sums c X^a s^m (D^b B) over the terms of A.
 A word is the composition of its letters, and a power the composition of
 its factors, so both go through the same product.  The result is
 independent of rewrite order (confluence); the test suite checks this
@@ -61,68 +62,50 @@ class OpExpr:
     terms: tuple[tuple[QScalar, int, tuple[str, ...]], ...]
 
     def __post_init__(self):
-        for _, s_pow, word in self.terms:
+        terms = []
+        for c, s_pow, word in self.terms:
             if index(s_pow) < 0:
                 raise ValueError("s power must be nonnegative")
             for letter in word:
                 if letter not in (X, D):
                     raise ValueError(f"unknown generator {letter!r}")
+            terms.append((QScalar.of(c), s_pow, tuple(word)))
+        object.__setattr__(self, "terms", tuple(terms))
 
     @classmethod
     def word(cls, letters: Union[str, Sequence[str]], coef: Scalar = 1,
              s_power: int = 0) -> "OpExpr":
-        return cls(((QScalar.of(coef), s_power, tuple(letters)),))
+        return cls(((coef, s_power, letters),))
 
     @classmethod
     def from_terms(cls, terms: Iterable[tuple[Scalar, int, Sequence[str]]]) -> "OpExpr":
-        return cls(tuple((QScalar.of(c), m, tuple(w)) for c, m, w in terms))
+        return cls(tuple(terms))
 
     def __add__(self, other: "OpExpr") -> "OpExpr":
         return OpExpr(self.terms + other.terms)
 
 
-# Normal forms of D^b X^a, memoized per twist in one flat dict keyed
-# (twist, b, a).  Read-mostly; concurrent readers are safe, a missed entry is
-# simply recomputed.
-_D_POW_PAST_X: dict[tuple[QScalar, int, int], dict[tuple[int, int], QScalar]] = {}
+# Normal forms of D X^a, the rule's row, memoized per twist in one flat dict
+# keyed (twist, a).  Read-mostly; concurrent readers are safe, and an entry is
+# published only once built, so a missed one is simply recomputed.
+_D_POW_PAST_X: dict[tuple[QScalar, int], dict[tuple[int, int], QScalar]] = {}
 
 
-def _d_pow_past_x_pow(b: int, a: int, twist: QScalar) -> dict[tuple[int, int], QScalar]:
-    """Normal form of D^b X^a.
+def _d_past_x_pow(a: int, twist: QScalar) -> dict[tuple[int, int], QScalar]:
+    """Normal form of D X^a, keyed (X power, D power).
 
-    Row b = 1 (D X^a) comes from the rule alone; row b from row b - 1 and
-    row 1.  Each row fills upward from the highest entry already present,
-    so no call recurses, however large a or b is."""
-    if b == 0 or a == 0:
-        return {(a, b): QSCALAR_ONE}
-    cached = _D_POW_PAST_X.get((twist, b, a))
-    if cached is not None:
-        return cached
-    if b == 1:
-        known = a - 1
-        while known > 0 and (twist, 1, known) not in _D_POW_PAST_X:
-            known -= 1
-        prev = _d_pow_past_x_pow(1, known, twist)
-        for i in range(known + 1, a + 1):
-            # D X^i = (twist*X*D + 1) X^(i-1) = twist * X * (D X^(i-1)) + X^(i-1)
-            out = {(x + 1, d): twist * c for (x, d), c in prev.items()}
-            key = (i - 1, 0)
-            out[key] = out.get(key, QSCALAR_ZERO) + QSCALAR_ONE
-            _D_POW_PAST_X[(twist, 1, i)] = prev = out
-        return prev
-    known = b - 1
-    while known > 1 and (twist, known, a) not in _D_POW_PAST_X:
-        known -= 1
-    prev = _d_pow_past_x_pow(known, a, twist)
-    for i in range(known + 1, b + 1):
-        # D^i X^a = D (D^(i-1) X^a)
-        out = {}
-        for (x, d), c in prev.items():
-            for (x2, d2), c2 in _d_pow_past_x_pow(1, x, twist).items():
-                key = (x2, d2 + d)
-                out[key] = out.get(key, QSCALAR_ZERO) + c * c2
-        _D_POW_PAST_X[(twist, i, a)] = prev = {k: v for k, v in out.items() if not v.is_zero()}
-    return prev
+    The row fills upward in a from the highest entry already present, so no
+    call recurses, however large a is."""
+    for known in range(a, -1, -1):
+        row = _D_POW_PAST_X.get((twist, known)) if known else {(0, 1): QSCALAR_ONE}
+        if row is not None:
+            break
+    for i in range(known + 1, a + 1):
+        # D X^i = (twist*X*D + 1) X^(i-1) = twist * X * (D X^(i-1)) + X^(i-1)
+        row = {(x + 1, d): twist * c for (x, d), c in row.items()}
+        row[(i - 1, 0)] = row.get((i - 1, 0), QSCALAR_ZERO) + QSCALAR_ONE
+        _D_POW_PAST_X[(twist, i)] = row
+    return row
 
 
 class NormalOp:
@@ -132,13 +115,13 @@ class NormalOp:
 
     def __init__(self, twist: Scalar, terms: Mapping[Key, Scalar] = ()):
         clean: dict[Key, QScalar] = {}
-        for key, c in dict(terms).items():
-            a, b, m = key
-            if index(a) < 0 or index(b) < 0 or index(m) < 0:
+        for (a, b, m), c in dict(terms).items():
+            a, b, m = index(a), index(b), index(m)
+            if a < 0 or b < 0 or m < 0:
                 raise ValueError("NormalOp exponents must be nonnegative")
             c = QScalar.of(c)
             if not c.is_zero():
-                clean[key] = c
+                clean[(a, b, m)] = c
         object.__setattr__(self, "twist", QScalar.of(twist))
         object.__setattr__(self, "terms", clean)
 
@@ -193,13 +176,20 @@ class NormalOp:
             return NotImplemented
         if self.twist != other.twist:
             raise TwistMismatch("cannot compose operators with different twists")
+        # ladder[k] is D^k * other, each rung D times the one before
+        ladder = [other.terms]
+        for _ in range(max((b for _, b, _ in self.terms), default=0)):
+            rung: dict[Key, QScalar] = {}
+            for (a, b, m), c in ladder[-1].items():
+                for (x, d), c2 in _d_past_x_pow(a, self.twist).items():
+                    key = (x, d + b, m)
+                    rung[key] = rung.get(key, QSCALAR_ZERO) + c * c2
+            ladder.append(rung)
         out: dict[Key, QScalar] = {}
         for (a1, b1, m1), c1 in self.terms.items():
-            for (a2, b2, m2), c2 in other.terms.items():
-                c12 = c1 * c2
-                for (x, d), c in _d_pow_past_x_pow(b1, a2, self.twist).items():
-                    key = (a1 + x, d + b2, m1 + m2)
-                    out[key] = out.get(key, QSCALAR_ZERO) + c12 * c
+            for (a2, b2, m2), c2 in ladder[b1].items():
+                key = (a1 + a2, b2, m1 + m2)
+                out[key] = out.get(key, QSCALAR_ZERO) + c1 * c2
         return NormalOp(self.twist, out)
 
     __rmul__ = __mul__  # scalars are central

@@ -37,7 +37,8 @@ class XSPoly:
     def __init__(self, terms: Mapping[Key, Scalar] = ()):
         clean: dict[Key, QScalar] = {}
         for (a, b), c in dict(terms).items():
-            if index(a) < 0 or index(b) < 0:
+            a, b = index(a), index(b)
+            if a < 0 or b < 0:
                 raise ValueError("exponents must be nonnegative")
             c = QScalar.of(c)
             if not c.is_zero():

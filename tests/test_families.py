@@ -7,7 +7,7 @@ import threading
 
 import pytest
 
-from qweyl import families, qarith
+from qweyl import families, opalg, qarith
 from qweyl.families import (
     OPERATORS,
     IndexOutOfRange,
@@ -74,6 +74,8 @@ class TestOperators:
         for kind in OPERATORS:
             for n, op in zip(range(7), operator_sequence(kind)):
                 assert op == built(kind, n), (kind, n)
+        for n in range(7):
+            assert _xsd_power(n) == built("qpower", n), n
 
 
 class TestHermite:
@@ -350,25 +352,31 @@ class TestQWeylBinomial:
 
 class TestMemoTablesUnderThreads:
     def test_concurrent_growth_matches_serial(self):
-        # the Gaussian-binomial rows and the q-Weyl recurrence rows are shared
-        # tables grown on demand; threads growing them at once must not
-        # publish a row twice or out of place
+        # the Gaussian-binomial rows, the q-Weyl recurrence rows and the
+        # engine's D X^a memo are shared tables grown on demand; threads
+        # growing them at once must not publish a row twice or out of place
         def values():
+            ops = [power(affine_factor(1, twist), 12) for twist in (TWIST_Q, TWIST_ONE)]
             gauss = [gauss_binomial(40, k) for k in range(41)]
             row = [qweyl_binomial(30, m, l, "recurrence")
                    for m in range(31) for l in range(min(m, 30 - m) + 1)]
-            return gauss, row
+            return gauss, row, ops
 
         serial = values()
         results = []
 
+        # the threads start their work together, so their fills overlap
+        start = threading.Barrier(6)
+
         def work():
+            start.wait(timeout=60)
             results.append(values())
 
         interval = sys.getswitchinterval()
         try:
             del qarith._GAUSS_ROWS[1:]
             del families._QWEYL_ROWS[1:]
+            opalg._D_POW_PAST_X.clear()
             sys.setswitchinterval(1e-6)
             threads = [threading.Thread(target=work) for _ in range(6)]
             for t in threads:
@@ -381,4 +389,5 @@ class TestMemoTablesUnderThreads:
             if results != [serial] * 6:
                 del qarith._GAUSS_ROWS[1:]
                 del families._QWEYL_ROWS[1:]
+                opalg._D_POW_PAST_X.clear()
         assert results == [serial] * 6

@@ -130,7 +130,8 @@ class TestDeepWords:
         with spare_frames(50):
             op = NormalOp(TWIST_Q, {(0, b, 0): 1}) * NormalOp(TWIST_Q, {(1, 0, 0): 1})
         assert op.terms == {(1, b, 0): q_pow(b), (0, b - 1, 0): QScalar(q_integer(b))}
-        assert len(opalg._D_POW_PAST_X) == b
+        # only the rule's row is memoized, and D^b X needs its one entry, D X
+        assert list(opalg._D_POW_PAST_X) == [(TWIST_Q, 1)]
 
 
 class TestMul:
@@ -216,6 +217,7 @@ class TestScalars:
                      lambda: e * bad, lambda: bad * e,
                      lambda: OpExpr.word("X", bad),
                      lambda: OpExpr.from_terms([(bad, 0, "X")]),
+                     lambda: OpExpr(((bad, 0, ("X",)),)),
                      lambda: affine_factor(bad, TWIST_Q)):
             with pytest.raises(TypeError):
                 call()
@@ -235,6 +237,13 @@ class TestScalars:
                 NormalOp(TWIST_Q, {(0, 0, e): 1})
             with pytest.raises(TypeError):
                 OpExpr.word("X", s_power=e)
+
+    def test_exponents_stored_as_int(self):
+        # a bool is an index, but the key and the wire format hold plain ints
+        op = NormalOp(TWIST_Q, {(True, False, True): 1})
+        assert [type(e) for e in next(iter(op.terms))] == [int, int, int]
+        assert op.to_json()["terms"][0] == {"x": 1, "d": 0, "s": 1,
+                                            "coef": {"num": [1], "den": [1]}}
 
     def test_int_bool_and_intpoly_scalars(self):
         e = NormalOp.identity(TWIST_Q)

@@ -42,6 +42,12 @@ class TestConstruction:
             with pytest.raises(TypeError):
                 XSPoly({(0, e): 1})
 
+    def test_exponents_stored_as_int(self):
+        # a bool is an index, but the key and the wire format hold plain ints
+        p = XSPoly({(True, False): 1})
+        assert [type(e) for e in next(iter(p.terms))] == [int, int]
+        assert p.to_json()["terms"][0] == {"x": 1, "s": 0, "coef": {"num": [1], "den": [1]}}
+
     @pytest.mark.parametrize("bad", INEXACT)
     def test_inexact_scalars_rejected(self, bad):
         x = XSPoly.x()
