@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import islice
 from typing import Optional, Sequence
 
 from .families import (
@@ -23,7 +22,7 @@ from .families import (
     hermite,
     lucas,
     lucas_k,
-    operator_sequence,
+    operator_row,
     qweyl_binomial,
     weyl_binomial,
 )
@@ -49,7 +48,7 @@ def _positive(text: str) -> int:
 
 
 def _cmd_expand(args: argparse.Namespace) -> int:
-    op = next(islice(operator_sequence(args.kind), args.n, None))
+    op = operator_row(args.kind, args.n)
     if args.json:
         print(json.dumps(op.to_json()))
     else:

@@ -13,11 +13,16 @@ exponential action, the Lucas bracket ratio) run in the QScalar field and are
 converted with to_polynomial.  Either way an inexact division raises
 NotPolynomial, so a transcription slip surfaces as an error instead of a
 silently wrong value.
+
+The operators of OPERATORS live in one memoized row table per kind: row n is
+built once, by one composition from row n-1, and `qweyl expand`, the theorem
+cases and (X + sD)^n all read it.  Memory held grows with the largest n asked
+of each kind.  Every value handed out has a read-only term map, so a caller
+cannot change what a memo table serves.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import threading
 from functools import lru_cache
@@ -68,20 +73,31 @@ OPERATORS: dict[str, _Operator] = {
 }
 
 
-def operator_sequence(kind: str) -> Iterator[NormalOp]:
-    """Normal forms of the operator OPERATORS[kind] for n = 0, 1, 2, ...,
-    one composition per step."""
-    op = NormalOp.identity(OPERATORS[kind].twist)
-    for n in itertools.count(1):
-        yield op
-        op = _operator_step(kind, op, n)
-
-
 def _operator_step(kind: str, op: NormalOp, n: int) -> NormalOp:
     """The n-th operator of OPERATORS[kind] from op, its (n-1)-th."""
     twist, c, left = OPERATORS[kind]
     factor = affine_factor(c(n), twist)
     return factor * op if left else op * factor
+
+
+# Normal forms of each OPERATORS kind, row n the n-th operator, shared and
+# grown like the q-Weyl rows below: built whole from the row before,
+# appended under the lock, read without it.
+_OPERATOR_ROWS: dict[str, list[NormalOp]] = {
+    kind: [NormalOp.identity(op.twist)] for kind, op in OPERATORS.items()}
+_OPERATOR_LOCK = threading.Lock()
+
+
+def operator_row(kind: str, n: int) -> NormalOp:
+    """Normal form of the n-th operator of OPERATORS[kind]."""
+    if n < 0:
+        raise ValueError("operator_row requires n >= 0")
+    rows = _OPERATOR_ROWS[kind]
+    if len(rows) <= n:
+        with _OPERATOR_LOCK:
+            while len(rows) <= n:
+                rows.append(_operator_step(kind, rows[-1], len(rows)))
+    return rows[n]
 
 
 def _triangle(n: int) -> Iterator[tuple[int, int]]:
@@ -222,14 +238,8 @@ def corollary3_coeff(n: int, m: int, j: int) -> QScalar:
 
 @lru_cache(maxsize=None)
 def _xsd_power(n: int) -> NormalOp:
-    """(X + sD)^n, the qpower row of OPERATORS, memoized for every n."""
-    if n == 0:
-        return NormalOp.identity(OPERATORS["qpower"].twist)
-    # Fill the cache upward first, as hermite does, so that no call recurses
-    # more than two deep, however large n is.
-    for i in range(1, n - 1):
-        _xsd_power(i)
-    return _operator_step("qpower", _xsd_power(n - 1), n)
+    """(X + sD)^n, the qpower row of the operator table."""
+    return operator_row("qpower", n)
 
 
 @lru_cache(maxsize=None)

@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import index
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Union
 
 from .polyring import XSPoly, _render_terms
@@ -109,7 +110,8 @@ def _d_past_x_pow(a: int, twist: QScalar) -> dict[tuple[int, int], QScalar]:
 
 
 class NormalOp:
-    """A normally ordered operator: sum of c * X^a D^b s^m terms."""
+    """A normally ordered operator: sum of c * X^a D^b s^m terms.  The term
+    map is read-only, so an operator shared by a memo table cannot change."""
 
     __slots__ = ("twist", "terms")
 
@@ -123,7 +125,7 @@ class NormalOp:
             if not c.is_zero():
                 clean[(a, b, m)] = c
         object.__setattr__(self, "twist", QScalar.of(twist))
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", MappingProxyType(clean))
 
     def __setattr__(self, name, value):
         raise AttributeError("NormalOp is immutable")
@@ -153,9 +155,10 @@ class NormalOp:
             return NotImplemented
         if self.twist != other.twist:
             raise TwistMismatch("cannot add operators with different twists")
-        out = dict(self.terms)
+        out = self.terms.copy()
         for k, c in other.terms.items():
-            out[k] = out.get(k, QSCALAR_ZERO) + c
+            prev = out.get(k)
+            out[k] = c if prev is None else prev + c
         return NormalOp(self.twist, out)
 
     def __neg__(self) -> "NormalOp":
@@ -183,13 +186,15 @@ class NormalOp:
             for (a, b, m), c in ladder[-1].items():
                 for (x, d), c2 in _d_past_x_pow(a, self.twist).items():
                     key = (x, d + b, m)
-                    rung[key] = rung.get(key, QSCALAR_ZERO) + c * c2
+                    prev = rung.get(key)
+                    rung[key] = c * c2 if prev is None else prev + c * c2
             ladder.append(rung)
         out: dict[Key, QScalar] = {}
         for (a1, b1, m1), c1 in self.terms.items():
             for (a2, b2, m2), c2 in ladder[b1].items():
                 key = (a1 + a2, b2, m1 + m2)
-                out[key] = out.get(key, QSCALAR_ZERO) + c1 * c2
+                prev = out.get(key)
+                out[key] = c1 * c2 if prev is None else prev + c1 * c2
         return NormalOp(self.twist, out)
 
     __rmul__ = __mul__  # scalars are central
@@ -237,7 +242,7 @@ class NormalOp:
                     for t in data["terms"]})
 
     def __repr__(self) -> str:
-        return f"NormalOp(twist={self.twist!s}, terms={self.terms!r})"
+        return f"NormalOp(twist={self.twist!s}, terms={self.terms.copy()!r})"
 
     def __str__(self) -> str:
         return _render_terms((c, (("s", m), ("X", a), ("D", b)))
@@ -255,7 +260,8 @@ def normal_order(e: OpExpr, twist: QScalar) -> NormalOp:
         for letter in reversed(word):
             op = letters[letter] * op
         for key, c in op.terms.items():
-            out[key] = out.get(key, QSCALAR_ZERO) + c
+            prev = out.get(key)
+            out[key] = c if prev is None else prev + c
     return NormalOp(twist, out)
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from operator import index
+from types import MappingProxyType
 from typing import Iterable, Mapping, Union
 
 from .qarith import (
@@ -30,7 +31,8 @@ Key = tuple[int, int]
 
 
 class XSPoly:
-    """Polynomial in x and s with QScalar coefficients; immutable by convention."""
+    """Polynomial in x and s with QScalar coefficients; immutable, with a
+    read-only term map."""
 
     __slots__ = ("terms",)
 
@@ -43,7 +45,7 @@ class XSPoly:
             c = QScalar.of(c)
             if not c.is_zero():
                 clean[(a, b)] = c
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", MappingProxyType(clean))
 
     def __setattr__(self, name, value):
         raise AttributeError("XSPoly is immutable")
@@ -96,9 +98,10 @@ class XSPoly:
     def __add__(self, other) -> "XSPoly":
         if not isinstance(other, XSPoly):
             return NotImplemented
-        out = dict(self.terms)
+        out = self.terms.copy()
         for k, c in other.terms.items():
-            out[k] = out.get(k, QSCALAR_ZERO) + c
+            prev = out.get(k)
+            out[k] = c if prev is None else prev + c
         return XSPoly(out)
 
     def __sub__(self, other) -> "XSPoly":
@@ -115,7 +118,8 @@ class XSPoly:
         for (a1, b1), c1 in self.terms.items():
             for (a2, b2), c2 in other.terms.items():
                 k = (a1 + a2, b1 + b2)
-                out[k] = out.get(k, QSCALAR_ZERO) + c1 * c2
+                prev = out.get(k)
+                out[k] = c1 * c2 if prev is None else prev + c1 * c2
         return XSPoly(out)
 
     __rmul__ = __mul__  # scalars commute with x and s
@@ -143,23 +147,12 @@ class XSPoly:
 
     def dq(self) -> "XSPoly":
         """q-derivative in x: x^a s^b -> [a] x^(a-1) s^b, extended linearly."""
-        out: dict[Key, QScalar] = {}
-        for (a, b), c in self.terms.items():
-            if a == 0:
-                continue
-            k = (a - 1, b)
-            out[k] = out.get(k, QSCALAR_ZERO) + c * QScalar(q_integer(a))
-        return XSPoly(out)
+        return XSPoly({(a - 1, b): c * QScalar(q_integer(a))
+                       for (a, b), c in self.terms.items() if a})
 
     def ddx(self) -> "XSPoly":
         """Classical derivative in x; equals dq with q specialized to 1."""
-        out: dict[Key, QScalar] = {}
-        for (a, b), c in self.terms.items():
-            if a == 0:
-                continue
-            k = (a - 1, b)
-            out[k] = out.get(k, QSCALAR_ZERO) + c * a
-        return XSPoly(out)
+        return XSPoly({(a - 1, b): c * a for (a, b), c in self.terms.items() if a})
 
     def dilate(self, a: int, b: int) -> "XSPoly":
         """Substitution x -> q^a x, s -> q^b s (a, b may be negative)."""
@@ -194,7 +187,7 @@ class XSPoly:
                     for t in data["terms"]})
 
     def __repr__(self) -> str:
-        return f"XSPoly({self.terms!r})"
+        return f"XSPoly({self.terms.copy()!r})"
 
     def __str__(self) -> str:
         return _render_terms((c, (("s", b), ("x", a))) for (a, b), c in self.sorted_terms())

@@ -17,8 +17,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import islice
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional
 
 from .families import (
     ONE_MINUS_Q,
@@ -33,7 +32,7 @@ from .families import (
     hermite,
     hermite_lucas_expand,
     lucas,
-    operator_sequence,
+    operator_row,
     qweyl_binomial,
     weyl_binomial,
 )
@@ -41,7 +40,7 @@ from .opalg import NormalOp
 from .polyring import XSPoly
 from .qarith import QScalar, QSCALAR_ZERO, eval_q, gauss_binomial, q_integer, q_pow
 
-Comparison = tuple[int, dict, dict]  # (n, lhs term map, rhs term map)
+Comparison = tuple[int, Mapping, Mapping]  # (n, lhs term map, rhs term map)
 
 
 @dataclass(frozen=True)
@@ -80,7 +79,7 @@ class VerificationReport:
 
 def _operators(kind: str, ns: range) -> Iterator[tuple[int, NormalOp]]:
     """(n, normal form of the n-th operator of an OPERATORS kind)."""
-    return zip(ns, islice(operator_sequence(kind), ns.start, None))
+    return ((n, operator_row(kind, n)) for n in ns)
 
 
 def _sd_sum_case(lhs: Iterable[tuple[int, NormalOp]],

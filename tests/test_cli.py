@@ -1,10 +1,11 @@
 """Command-line behavior: golden text, JSON round-trips, exit codes."""
 
 import json
+import random
 
 import pytest
 
-from qweyl import cli
+from qweyl import cli, families
 from qweyl.verify import FirstFailure, VerificationReport
 
 
@@ -63,6 +64,19 @@ class TestExpand:
     def test_negative_n(self, capsys):
         code, _, _ = run_cli(capsys, "expand", "--kind", "qpower", "--n", "-1")
         assert code == 2
+
+    def test_warm_table_prints_cold_bytes(self, capsys):
+        # one process serving a shuffled stream prints, for each request,
+        # what the same request prints with every operator row rebuilt
+        argvs = [("expand", "--kind", kind, "--n", str(n)) + fmt
+                 for kind in families.OPERATORS for n in (0, 2, 5, 9)
+                 for fmt in ((), ("--json",))]
+        random.Random(7).shuffle(argvs)
+        warm = [run_cli(capsys, *argv) for argv in argvs]
+        for argv, served in zip(argvs, warm):
+            for rows in families._OPERATOR_ROWS.values():
+                del rows[1:]
+            assert run_cli(capsys, *argv) == served, argv
 
 
 class TestFamily:

@@ -23,7 +23,7 @@ from qweyl.families import (
     hermite_lucas_expand,
     lucas,
     lucas_k,
-    operator_sequence,
+    operator_row,
     qweyl_binomial,
     weyl_binomial,
 )
@@ -56,26 +56,65 @@ def oracle_qweyl_table(n):
     return table
 
 
+def built(kind, n):
+    """The n-th operator of a kind, built factor by factor with power/product,
+    without the shared operator table."""
+    if kind == "classical":
+        return power(affine_factor(1, TWIST_ONE), n)
+    if kind == "qpower":
+        return power(affine_factor(1, TWIST_Q), n)
+    if kind == "qdesc":
+        return product([affine_factor(q_pow(n - 1 - i), TWIST_Q) for i in range(n)])
+    if kind == "qodd":
+        return product([affine_factor(q_pow(2 * i + 1), TWIST_Q) for i in range(n)])
+    return power(affine_factor(QScalar(ONE_MINUS_Q), TWIST_Q), n)
+
+
 class TestOperators:
     def test_sequence_matches_public_products(self):
-        # each kind's n-th operator, built factor by factor with power/product
-        def built(kind, n):
-            if kind == "classical":
-                return power(affine_factor(1, TWIST_ONE), n)
-            if kind == "qpower":
-                return power(affine_factor(1, TWIST_Q), n)
-            if kind == "qdesc":
-                return product([affine_factor(q_pow(n - 1 - i), TWIST_Q) for i in range(n)])
-            if kind == "qodd":
-                return product([affine_factor(q_pow(2 * i + 1), TWIST_Q) for i in range(n)])
-            return power(affine_factor(QScalar(ONE_MINUS_Q), TWIST_Q), n)
-
         assert list(OPERATORS) == ["classical", "qpower", "qdesc", "qodd", "qtheorem4"]
         for kind in OPERATORS:
-            for n, op in zip(range(7), operator_sequence(kind)):
-                assert op == built(kind, n), (kind, n)
+            for n in range(7):
+                assert operator_row(kind, n) == built(kind, n), (kind, n)
         for n in range(7):
             assert _xsd_power(n) == built("qpower", n), n
+
+    def test_warm_rows_equal_cold_products(self):
+        # a row read after a higher one was built is the same operator as
+        # the product of its factors
+        for kind in OPERATORS:
+            del families._OPERATOR_ROWS[kind][1:]
+            high = operator_row(kind, 12)
+            assert len(families._OPERATOR_ROWS[kind]) == 13
+            assert operator_row(kind, 5) == built(kind, 5), kind
+            assert high == built(kind, 12), kind
+
+    def test_negative_index(self):
+        with pytest.raises(ValueError):
+            operator_row("qpower", -1)
+
+
+class TestReadOnlyTerms:
+    def test_memoized_term_maps_cannot_be_changed(self):
+        # the memo tables hand out shared values; a caller clearing or
+        # writing into one must not change what later calls return
+        big_hermite.cache_clear()
+        for op in (_xsd_power(2), operator_row("qodd", 3)):
+            with pytest.raises(AttributeError):
+                op.terms.clear()
+            with pytest.raises(TypeError):
+                op.terms[(0, 0, 0)] = QScalar(1)
+            with pytest.raises(TypeError):
+                del op.terms[next(iter(op.terms))]
+        for poly in (hermite(3), h_poly(4)):
+            with pytest.raises(AttributeError):
+                poly.terms.pop((2, 1))
+            with pytest.raises(TypeError):
+                poly.terms[(2, 1)] = QScalar(1)
+        assert str(big_hermite(3)) == "x^3 + (2+q)*s*x"
+        assert _xsd_power(2) == built("qpower", 2)
+        assert operator_row("qodd", 3) == built("qodd", 3)
+        assert hermite(3) == XSPoly({(3, 0): 1, (1, 1): 3})
 
 
 class TestHermite:
@@ -238,10 +277,22 @@ class TestBigHermite:
         # one frame per n needed over 40
         _xsd_power.cache_clear()
         big_hermite.cache_clear()
+        del families._OPERATOR_ROWS["qpower"][1:]
         with spare_frames(30):
             h = big_hermite(20)
         assert h == XSPoly({(20 - 2 * l, l): qweyl_binomial(20, l, l, "recurrence")
                             for l in range(11)})
+
+
+class TestOperatorRows:
+    def test_cold_row_needs_no_deep_recursion(self, spare_frames):
+        # rows are appended one at a time from the row before, so a cold
+        # qodd row at n = 20 fits in 30 frames
+        del families._OPERATOR_ROWS["qodd"][1:]
+        with spare_frames(30):
+            op = operator_row("qodd", 20)
+        assert op.terms == {(m - j, 20 - m - j, 20 - m): corollary3_coeff(20, m, j)
+                            for m in range(21) for j in range(min(m, 20 - m) + 1)}
 
 
 class TestLucas:
@@ -352,15 +403,24 @@ class TestQWeylBinomial:
 
 class TestMemoTablesUnderThreads:
     def test_concurrent_growth_matches_serial(self):
-        # the Gaussian-binomial rows, the q-Weyl recurrence rows and the
-        # engine's D X^a memo are shared tables grown on demand; threads
-        # growing them at once must not publish a row twice or out of place
+        # the Gaussian-binomial rows, the q-Weyl recurrence rows, the
+        # operator rows and the engine's D X^a memo are shared tables grown
+        # on demand; threads growing them at once must not publish a row
+        # twice or out of place
         def values():
             ops = [power(affine_factor(1, twist), 12) for twist in (TWIST_Q, TWIST_ONE)]
             gauss = [gauss_binomial(40, k) for k in range(41)]
             row = [qweyl_binomial(30, m, l, "recurrence")
                    for m in range(31) for l in range(min(m, 30 - m) + 1)]
-            return gauss, row, ops
+            rows = [operator_row(kind, n) for kind in OPERATORS for n in (10, 4)]
+            return gauss, row, ops, rows
+
+        def reset():
+            del qarith._GAUSS_ROWS[1:]
+            del families._QWEYL_ROWS[1:]
+            for rows in families._OPERATOR_ROWS.values():
+                del rows[1:]
+            opalg._D_POW_PAST_X.clear()
 
         serial = values()
         results = []
@@ -374,9 +434,7 @@ class TestMemoTablesUnderThreads:
 
         interval = sys.getswitchinterval()
         try:
-            del qarith._GAUSS_ROWS[1:]
-            del families._QWEYL_ROWS[1:]
-            opalg._D_POW_PAST_X.clear()
+            reset()
             sys.setswitchinterval(1e-6)
             threads = [threading.Thread(target=work) for _ in range(6)]
             for t in threads:
@@ -384,10 +442,10 @@ class TestMemoTablesUnderThreads:
             for t in threads:
                 t.join(timeout=120)
             assert not any(t.is_alive() for t in threads)
+            sizes = {kind: len(rows) for kind, rows in families._OPERATOR_ROWS.items()}
         finally:
             sys.setswitchinterval(interval)
             if results != [serial] * 6:
-                del qarith._GAUSS_ROWS[1:]
-                del families._QWEYL_ROWS[1:]
-                opalg._D_POW_PAST_X.clear()
+                reset()
         assert results == [serial] * 6
+        assert sizes == {kind: 11 for kind in OPERATORS}

@@ -356,3 +356,12 @@ class TestSerialization:
         op = power(affine_factor(1, TWIST_Q), 2)
         assert str(op) == "s^2*D^2 + (1+q)*s*X*D + s + X^2"
         assert str(NormalOp(TWIST_Q, {})) == "0"
+
+    def test_terms_read_only_repr_as_dict(self):
+        op = affine_factor(2, TWIST_Q)
+        with pytest.raises(TypeError):
+            op.terms[(1, 0, 0)] = QScalar(3)
+        assert op.terms == {(1, 0, 0): QScalar(1), (0, 1, 1): QScalar(2)}
+        assert hash(op) == hash(NormalOp(TWIST_Q, dict(op.terms)))
+        assert repr(op) == ("NormalOp(twist=q, terms={(1, 0, 0): QScalar([1], [1]), "
+                            "(0, 1, 1): QScalar([2], [1])})")

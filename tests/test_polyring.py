@@ -31,6 +31,13 @@ class TestConstruction:
         assert p.terms == {(1, 0): QScalar(1)}
         assert XSPoly({(0, 0): 0}).is_zero()
 
+    def test_terms_read_only_repr_as_dict(self):
+        p = XSPoly({(1, 0): 3})
+        with pytest.raises(TypeError):
+            p.terms[(1, 0)] = QScalar(4)
+        assert p == XSPoly(p.terms) and hash(p) == hash(XSPoly(p.terms))
+        assert repr(p) == "XSPoly({(1, 0): QScalar([3], [1])})"
+
     def test_negative_exponents_rejected(self):
         with pytest.raises(ValueError):
             XSPoly({(-1, 0): 1})
