@@ -5,14 +5,17 @@ the theorem cases check.
 Every family here has at least one independent route to the same values --
 a defining recurrence, a closed sum, a generating-operator product -- and the
 verification harness cross-checks them against the rewriting engine, which
-is the ground truth.  The closed forms of g_n(k) and Corollaries 2 and 3, and
-the 1/(1-q)^l prefactor of the closed q-Weyl sum, are products and quotients
-of factors (1-q^k) ([n] = (1-q^n)/(1-q), 1+q^e = (1-q^(2e))/(1-q^e)), so they
-run through qarith.q_product with no gcd.  The remaining divisions (h_n, the
-exponential action, the Lucas bracket ratio) run in the QScalar field and are
-converted with to_polynomial.  Either way an inexact division raises
-NotPolynomial, so a transcription slip surfaces as an error instead of a
-silently wrong value.
+is the ground truth.  The closed forms of h_n, g_n(k) and Corollaries 2 and
+3, and the 1/(1-q)^l prefactor of the closed q-Weyl sum, are products and
+quotients of factors (1-q^k), written with qarith's q-block factor lists, so
+they run through qarith.q_product with no gcd.  Two divisions stay in the
+QScalar field.  apply_exp_q2 builds its coefficients there, so exp-2.6
+checks h_n against a different formula in a different arithmetic.  The Lucas
+bracket ratio [n+k]/[n+k-j] is reduced there and converted with
+to_polynomial: its gcd is the one bench/test_bench.py expects a `family`
+request to run, so moving it to q_product waits for a benchmark change.
+Either way an inexact division raises NotPolynomial, so a transcription slip
+surfaces as an error instead of a silently wrong value.
 
 The operators of OPERATORS live in one memoized row table per kind: row n is
 built once, by one composition from row n-1, and `qweyl expand`, the theorem
@@ -36,9 +39,12 @@ from .qarith import (
     QScalar,
     QSCALAR_ONE,
     ZERO,
+    _one_plus_q,
+    _q_binom,
+    _q_even,
+    _q_fact,
+    _q_odd_double,
     gauss_binomial,
-    q_even_product,
-    q_factorial,
     q_integer,
     q_pow,
     q_product,
@@ -145,9 +151,8 @@ def h_poly(n: int) -> XSPoly:
         raise ValueError("h_poly requires n >= 0")
     terms = {}
     for j in range(n // 2 + 1):
-        num = QScalar(IntPoly.q_power(j * j) * q_factorial(n))
-        den = QScalar(q_even_product(j) * q_factorial(j) * q_factorial(n - 2 * j))
-        terms[(n - 2 * j, j)] = to_polynomial(num / den)
+        factors = _q_fact(n) + _q_even(j, -1) + _q_fact(j, -1) + _q_fact(n - 2 * j, -1)
+        terms[(n - 2 * j, j)] = q_product(factors, j * j)
     return XSPoly(terms)
 
 
@@ -157,37 +162,16 @@ def apply_exp_q2(p: XSPoly) -> XSPoly:
     finite because dq^(2j) annihilates degrees below 2j.
     Sends x^n to h_n."""
     result = XSPoly.zero()
-    deriv = p
-    j = 0
+    deriv, coef, j = p, QSCALAR_ONE, 0
     while not deriv.is_zero():
-        coef = QScalar(IntPoly.q_power(j * j)) / QScalar(q_even_product(j) * q_factorial(j))
+        if j:
+            # the ratio of consecutive coefficients, q^(2j-1) / ((1+q^j) [j])
+            coef = coef * QScalar(IntPoly.q_power(2 * j - 1),
+                                  (ONE + IntPoly.q_power(j)) * q_integer(j))
         result = result + deriv.shift(0, j, coef)
         deriv = deriv.dq().dq()
         j += 1
     return result
-
-
-# Exponent maps of the q-building blocks, as (k, e) pairs for q_product: each
-# block is a product of factors (1-q^k)^e, raised to `power` (-1 divides).
-
-def _q_int(n: int, power: int = 1) -> list[tuple[int, int]]:
-    """[n] = (1-q^n)/(1-q), for n >= 1."""
-    return [(n, power), (1, -power)]
-
-
-def _q_fact(n: int, power: int = 1) -> list[tuple[int, int]]:
-    """[n]! = [1][2]...[n]."""
-    return [f for i in range(1, n + 1) for f in _q_int(i, power)]
-
-
-def _q_binom(n: int, k: int) -> list[tuple[int, int]]:
-    """Gaussian binomial [n k] = [n]!/([k]![n-k]!), for 0 <= k <= n."""
-    return _q_fact(n) + _q_fact(k, -1) + _q_fact(n - k, -1)
-
-
-def _one_plus_q(e: int, power: int = 1) -> list[tuple[int, int]]:
-    """1+q^e = (1-q^(2e))/(1-q^e), for e >= 1."""
-    return [(2 * e, power), (e, -power)]
 
 
 def g_coeff(n: int, k: int) -> XSPoly:
@@ -202,8 +186,7 @@ def g_coeff(n: int, k: int) -> XSPoly:
         raise IndexOutOfRange(f"need 0 <= k <= n, got (n,k)=({n},{k})")
     terms = {}
     for j in range((n - k) // 2 + 1):
-        factors = _q_binom(n, k) + _q_binom(n - k, 2 * j) \
-            + [f for i in range(1, j + 1) for f in _q_int(2 * i - 1)]
+        factors = _q_binom(n, k) + _q_binom(n - k, 2 * j) + _q_odd_double(j)
         for i in range(k):
             factors += _one_plus_q(n - j - i) + _one_plus_q(j + 1 + i, -1)
         terms[(n - k - 2 * j, j)] = q_product(factors, j * j + k * j + math.comb(k, 2))
@@ -218,8 +201,7 @@ def corollary2_coeff(n: int, m: int, j: int) -> QScalar:
       / ((1+q)...(1+q^(n-m)) [j]! [m-j]! [n-m-j]!)."""
     if n < 0 or j < 0 or j > min(m, n - m):
         raise IndexOutOfRange(f"need 0 <= j <= min(m, n-m), got (n,m,j)=({n},{m},{j})")
-    factors = [f for e in range(m + 1, n - j + 1) for f in _one_plus_q(e)] + _q_fact(n) \
-        + [f for e in range(1, n - m + 1) for f in _one_plus_q(e, -1)] \
+    factors = _q_even(n - j) + _q_even(m, -1) + _q_fact(n) + _q_even(n - m, -1) \
         + _q_fact(j, -1) + _q_fact(m - j, -1) + _q_fact(n - m - j, -1)
     return QScalar(q_product(factors, math.comb(j + 1, 2) + math.comb(n - m, 2)))
 
@@ -231,8 +213,8 @@ def corollary3_coeff(n: int, m: int, j: int) -> QScalar:
     q^(n^2+j^2-(m+j)n) [n]! / ((1+q)...(1+q^j) [j]! [m-j]! [n-m-j]!)."""
     if n < 0 or j < 0 or j > min(m, n - m):
         raise IndexOutOfRange(f"need 0 <= j <= min(m, n-m), got (n,m,j)=({n},{m},{j})")
-    factors = _q_fact(n) + [f for e in range(1, j + 1) for f in _one_plus_q(e, -1)] \
-        + _q_fact(j, -1) + _q_fact(m - j, -1) + _q_fact(n - m - j, -1)
+    factors = _q_fact(n) + _q_even(j, -1) + _q_fact(j, -1) + _q_fact(m - j, -1) \
+        + _q_fact(n - m - j, -1)
     return QScalar(q_product(factors, n * n + j * j - (m + j) * n))
 
 
@@ -311,8 +293,8 @@ def _qweyl_closed(n: int, m: int, l: int) -> IntPoly:
     return q_product([(1, -l)], base=total)
 
 
-# Rows of the q-Weyl triangle, shared and grown like the Gaussian-binomial
-# rows in qarith: built whole, appended under the lock, read without it.
+# Rows of the q-Weyl triangle, shared and grown like the operator rows
+# above: built whole, appended under the lock, read without it.
 _QWEYL_ROWS: list[dict[tuple[int, int], IntPoly]] = [{(0, 0): ONE}]
 _QWEYL_LOCK = threading.Lock()
 

@@ -65,7 +65,8 @@ class OpExpr:
     def __post_init__(self):
         terms = []
         for c, s_pow, word in self.terms:
-            if index(s_pow) < 0:
+            s_pow = index(s_pow)
+            if s_pow < 0:
                 raise ValueError("s power must be nonnegative")
             for letter in word:
                 if letter not in (X, D):

@@ -80,10 +80,6 @@ class XSPoly:
     def coefficient(self, a: int, b: int) -> QScalar:
         return self.terms.get((a, b), QSCALAR_ZERO)
 
-    def x_degree(self) -> int:
-        """Highest x exponent; -1 for the zero polynomial."""
-        return max((a for a, _ in self.terms), default=-1)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, XSPoly):
             return NotImplemented

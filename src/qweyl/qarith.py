@@ -25,8 +25,8 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-import threading
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
 
@@ -432,65 +432,6 @@ def q_integer(n: int) -> IntPoly:
     return IntPoly((1,) * n)
 
 
-def q_factorial(n: int) -> IntPoly:
-    """[n]! = [1][2]...[n]; empty product 1."""
-    if n < 0:
-        raise ValueError("q_factorial requires n >= 0")
-    result = ONE
-    for i in range(1, n + 1):
-        result = result * q_integer(i)
-    return result
-
-
-# Rows of the q-Pascal triangle.  Readers index it without a lock; a row is
-# built whole and appended under the lock, so a row is never published twice.
-_GAUSS_ROWS: list[list[IntPoly]] = [[ONE]]
-_GAUSS_LOCK = threading.Lock()
-
-
-def gauss_binomial(n: int, k: int) -> IntPoly:
-    """Gaussian binomial [n k] = [n]!/([k]![n-k]!); 0 when k < 0 or k > n.
-
-    Built by the q-Pascal recurrence [n k] = [n-1 k-1] + q^k [n-1 k] so all
-    intermediate values stay in Z[q].
-    """
-    if n < 0:
-        raise ValueError("gauss_binomial requires n >= 0")
-    if k < 0 or k > n:
-        return ZERO
-    if len(_GAUSS_ROWS) <= n:
-        with _GAUSS_LOCK:
-            while len(_GAUSS_ROWS) <= n:
-                m = len(_GAUSS_ROWS)
-                prev = _GAUSS_ROWS[m - 1]
-                row = [ONE]
-                for j in range(1, m):
-                    row.append(prev[j - 1] + IntPoly.q_power(j) * prev[j])
-                row.append(ONE)
-                _GAUSS_ROWS.append(row)
-    return _GAUSS_ROWS[n][k]
-
-
-def q_odd_double_factorial(j: int) -> IntPoly:
-    """[2j-1]!! = [1][3]...[2j-1]; empty product 1."""
-    if j < 0:
-        raise ValueError("q_odd_double_factorial requires j >= 0")
-    result = ONE
-    for i in range(1, j + 1):
-        result = result * q_integer(2 * i - 1)
-    return result
-
-
-def q_even_product(j: int) -> IntPoly:
-    """(1+q)(1+q^2)...(1+q^j); empty product 1."""
-    if j < 0:
-        raise ValueError("q_even_product requires j >= 0")
-    result = ONE
-    for i in range(1, j + 1):
-        result = result * (ONE + IntPoly.q_power(i))
-    return result
-
-
 def q_product(factors: Iterable[tuple[int, int]], shift: int = 0,
               base: IntPoly = ONE) -> IntPoly:
     """q^shift * base * prod (1-q^k)^e over the pairs (k, e) of factors, in Z[q].
@@ -524,6 +465,75 @@ def q_product(factors: Iterable[tuple[int, int]], shift: int = 0,
                                     f"{sorted(net.items())} is not a polynomial in q")
             del c[-k:]
     return IntPoly([0] * shift + c)
+
+
+# The q-blocks as factor lists for q_product: each block is a product of
+# factors (1-q^k)^e, given as its (k, e) pairs and raised to `power` (-1
+# divides by the block).
+
+def _q_int(n: int, power: int = 1) -> list[tuple[int, int]]:
+    """[n] = (1-q^n)/(1-q), for n >= 1."""
+    return [(n, power), (1, -power)]
+
+
+def _q_fact(n: int, power: int = 1) -> list[tuple[int, int]]:
+    """[n]! = [1][2]...[n]."""
+    return [f for i in range(1, n + 1) for f in _q_int(i, power)]
+
+
+def _q_binom(n: int, k: int) -> list[tuple[int, int]]:
+    """Gaussian binomial [n k] = [n]!/([k]![n-k]!), for 0 <= k <= n."""
+    return _q_fact(n) + _q_fact(k, -1) + _q_fact(n - k, -1)
+
+
+def _one_plus_q(e: int, power: int = 1) -> list[tuple[int, int]]:
+    """1+q^e = (1-q^(2e))/(1-q^e), for e >= 1."""
+    return [(2 * e, power), (e, -power)]
+
+
+def _q_even(j: int, power: int = 1) -> list[tuple[int, int]]:
+    """(1+q)(1+q^2)...(1+q^j)."""
+    return [f for e in range(1, j + 1) for f in _one_plus_q(e, power)]
+
+
+def _q_odd_double(j: int) -> list[tuple[int, int]]:
+    """[2j-1]!! = [1][3]...[2j-1]."""
+    return [f for i in range(1, j + 1) for f in _q_int(2 * i - 1)]
+
+
+def q_factorial(n: int) -> IntPoly:
+    """[n]! = [1][2]...[n]; empty product 1."""
+    if n < 0:
+        raise ValueError("q_factorial requires n >= 0")
+    return q_product(_q_fact(n))
+
+
+@lru_cache(maxsize=None)
+def gauss_binomial(n: int, k: int) -> IntPoly:
+    """Gaussian binomial [n k] = [n]!/([k]![n-k]!); 0 when k < 0 or k > n.
+
+    Computed by q_product from the factor lists of the three q-factorials,
+    with no gcd; memoized per (n, k).
+    """
+    if n < 0:
+        raise ValueError("gauss_binomial requires n >= 0")
+    if k < 0 or k > n:
+        return ZERO
+    return q_product(_q_binom(n, k))
+
+
+def q_odd_double_factorial(j: int) -> IntPoly:
+    """[2j-1]!! = [1][3]...[2j-1]; empty product 1."""
+    if j < 0:
+        raise ValueError("q_odd_double_factorial requires j >= 0")
+    return q_product(_q_odd_double(j))
+
+
+def q_even_product(j: int) -> IntPoly:
+    """(1+q)(1+q^2)...(1+q^j); empty product 1."""
+    if j < 0:
+        raise ValueError("q_even_product requires j >= 0")
+    return q_product(_q_even(j))
 
 
 def to_polynomial(a: QScalar) -> IntPoly:

@@ -7,7 +7,7 @@ import threading
 
 import pytest
 
-from qweyl import families, opalg, qarith
+from qweyl import families, opalg
 from qweyl.families import (
     OPERATORS,
     IndexOutOfRange,
@@ -403,10 +403,10 @@ class TestQWeylBinomial:
 
 class TestMemoTablesUnderThreads:
     def test_concurrent_growth_matches_serial(self):
-        # the Gaussian-binomial rows, the q-Weyl recurrence rows, the
-        # operator rows and the engine's D X^a memo are shared tables grown
-        # on demand; threads growing them at once must not publish a row
-        # twice or out of place
+        # the q-Weyl recurrence rows, the operator rows and the engine's
+        # D X^a memo are shared tables grown on demand, and the Gaussian
+        # binomials are memoized; threads filling them at once must not
+        # publish a row twice or out of place
         def values():
             ops = [power(affine_factor(1, twist), 12) for twist in (TWIST_Q, TWIST_ONE)]
             gauss = [gauss_binomial(40, k) for k in range(41)]
@@ -416,7 +416,7 @@ class TestMemoTablesUnderThreads:
             return gauss, row, ops, rows
 
         def reset():
-            del qarith._GAUSS_ROWS[1:]
+            gauss_binomial.cache_clear()
             del families._QWEYL_ROWS[1:]
             for rows in families._OPERATOR_ROWS.values():
                 del rows[1:]

@@ -244,6 +244,7 @@ class TestScalars:
         assert [type(e) for e in next(iter(op.terms))] == [int, int, int]
         assert op.to_json()["terms"][0] == {"x": 1, "d": 0, "s": 1,
                                             "coef": {"num": [1], "den": [1]}}
+        assert type(OpExpr.word("XD", 1, True).terms[0][1]) is int
 
     def test_int_bool_and_intpoly_scalars(self):
         e = NormalOp.identity(TWIST_Q)

@@ -205,7 +205,8 @@ class TestGaussBinomial:
         assert gauss_binomial(3, 4) == ZERO
 
     def test_symmetry_and_pascal(self):
-        for n in range(13):
+        # the q-Pascal recurrence checks the product formula independently
+        for n in range(41):
             for k in range(n + 1):
                 g = gauss_binomial(n, k)
                 assert g == gauss_binomial(n, n - k)
@@ -225,6 +226,16 @@ class TestGaussBinomial:
 
 
 class TestProducts:
+    # plain IntPoly products of the blocks are the reference
+    def test_against_block_products(self):
+        for n in range(31):
+            assert q_factorial(n) == \
+                math.prod((q_integer(i) for i in range(1, n + 1)), start=ONE)
+            assert q_even_product(n) == \
+                math.prod((ONE + IntPoly.q_power(i) for i in range(1, n + 1)), start=ONE)
+            assert q_odd_double_factorial(n) == \
+                math.prod((q_integer(2 * i - 1) for i in range(1, n + 1)), start=ONE)
+
     def test_odd_double_factorial(self):
         assert q_odd_double_factorial(0) == ONE
         assert q_odd_double_factorial(1) == ONE
