@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from .families import (
@@ -156,11 +157,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Building the parser costs more than serving a typical request, so run()
+# builds it once per process.  Parsing leaves the parser unchanged (each call
+# fills a fresh Namespace), so one instance serves every caller and thread.
+_shared_parser = lru_cache(maxsize=None)(build_parser)
+
+
 def run(argv: Optional[Sequence[str]] = None) -> int:
     """Parse argv and execute; returns the process exit code."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -132,6 +132,15 @@ class NormalOp:
         raise AttributeError("NormalOp is immutable")
 
     @classmethod
+    def _raw(cls, twist: QScalar, terms: Mapping[Key, QScalar]) -> "NormalOp":
+        """Bypass the checks for int keys and QScalar values built by this
+        class; zero values are still dropped."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "twist", twist)
+        object.__setattr__(obj, "terms", MappingProxyType({k: c for k, c in terms.items() if c}))
+        return obj
+
+    @classmethod
     def identity(cls, twist: QScalar) -> "NormalOp":
         return cls(twist, {(0, 0, 0): QSCALAR_ONE})
 
@@ -160,7 +169,7 @@ class NormalOp:
         for k, c in other.terms.items():
             prev = out.get(k)
             out[k] = c if prev is None else prev + c
-        return NormalOp(self.twist, out)
+        return NormalOp._raw(self.twist, out)
 
     def __neg__(self) -> "NormalOp":
         return NormalOp(self.twist, {k: -c for k, c in self.terms.items()})
@@ -170,7 +179,7 @@ class NormalOp:
 
     def scale(self, c: Scalar) -> "NormalOp":
         c = QScalar.of(c)
-        return NormalOp(self.twist, {k: v * c for k, v in self.terms.items()})
+        return NormalOp._raw(self.twist, {k: v * c for k, v in self.terms.items()})
 
     def __mul__(self, other) -> "NormalOp":
         """Normal form of the composition self after other."""
@@ -196,7 +205,7 @@ class NormalOp:
                 key = (a1 + a2, b2, m1 + m2)
                 prev = out.get(key)
                 out[key] = c1 * c2 if prev is None else prev + c1 * c2
-        return NormalOp(self.twist, out)
+        return NormalOp._raw(self.twist, out)
 
     __rmul__ = __mul__  # scalars are central
 

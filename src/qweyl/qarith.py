@@ -57,6 +57,13 @@ class IntPoly:
         raise AttributeError("IntPoly is immutable")
 
     @classmethod
+    def _raw(cls, coeffs: tuple[int, ...]) -> "IntPoly":
+        """Bypass the checks for a tuple of ints whose last entry is nonzero."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "coeffs", coeffs)
+        return obj
+
+    @classmethod
     def const(cls, c: int) -> "IntPoly":
         return cls((c,))
 
@@ -128,13 +135,33 @@ class IntPoly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return ZERO
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca == 0:
-                continue
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-        return IntPoly(out)
+        if a == (1,):
+            return other
+        if b == (1,):
+            return self
+        # strip the q-adic valuation of each operand; the product is shifted
+        # back by their sum
+        va = vb = 0
+        while not a[va]:
+            va += 1
+        while not b[vb]:
+            vb += 1
+        a, b = a[va:], b[vb:]
+        if len(a) > len(b):
+            a, b = b, a
+        if len(a) == 1:
+            ca = a[0]
+            body = b if ca == 1 else tuple(ca * cb for cb in b)
+        else:
+            out = [0] * (len(a) + len(b) - 1)
+            for i, ca in enumerate(a):
+                if ca == 0:
+                    continue
+                for j, cb in enumerate(b, i):
+                    out[j] += ca * cb
+            body = tuple(out)
+        # both leading coefficients are nonzero, so theirs is: nothing to strip
+        return IntPoly._raw((0,) * (va + vb) + body)
 
     __rmul__ = __mul__
 
@@ -146,8 +173,9 @@ class IntPoly:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def evaluate(self, r: Union[int, Fraction]) -> Fraction:

@@ -2,6 +2,8 @@
 
 import json
 import random
+import sys
+import threading
 
 import pytest
 
@@ -200,3 +202,64 @@ class TestParsing:
         code, out, _ = run_cli(capsys, "--help")
         assert code == 0
         assert "expand" in out
+
+
+class TestSharedParser:
+    """run() parses with one parser per process."""
+
+    VALID = ("expand", "--kind", "qpower", "--n", "2")
+    MALFORMED = (
+        ("expand", "--kind", "nope", "--n", "2"),
+        ("expand", "--kind", "qpower", "--n", "-1"),
+        ("expand", "--kind", "qpower"),
+        ("frobnicate",),
+        ("table", "--coeff", "weyl", "--n", "3", "--extra"),
+    )
+
+    def test_malformed_request_leaves_no_trace(self, capsys):
+        for bad in self.MALFORMED:
+            cli._shared_parser.cache_clear()  # the malformed request builds it
+            code, out, _ = run_cli(capsys, *bad)
+            assert (code, out) == (2, "")
+            code, out, _ = run_cli(capsys, *self.VALID)
+            assert code == 0
+            assert out == "s^2*D^2 + (1+q)*s*X*D + s + X^2\n"
+
+    def test_concurrent_parses_get_their_own_namespace(self):
+        argvs = [
+            ["expand", "--kind", "qpower", "--n", "3"],
+            ["expand", "--kind", "classical", "--n", "7", "--json"],
+            ["family", "--name", "lucasK", "--n", "4", "--k", "2"],
+            ["family", "--name", "h", "--n", "9", "--json"],
+            ["table", "--coeff", "weyl", "--n", "5"],
+            ["table", "--coeff", "qweyl", "--n", "6", "--json"],
+            ["verify", "--case", "T1", "--case", "C2", "--n-max", "4"],
+            ["verify", "--json"],
+        ]
+        expected = [vars(cli.build_parser().parse_args(a)) for a in argvs]
+        parser = cli._shared_parser()
+        rounds = 40
+        barrier = threading.Barrier(len(argvs))
+        results = [[] for _ in argvs]
+
+        def parse(i):
+            for _ in range(rounds):
+                barrier.wait(timeout=10)
+                results[i].append(parser.parse_args(argvs[i]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=parse, args=(i,)) for i in range(len(argvs))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for got, want in zip(results, expected):
+            assert len(got) == rounds
+            assert all(vars(ns) == want for ns in got)
+        namespaces = [ns for got in results for ns in got]
+        assert len({id(ns) for ns in namespaces}) == len(namespaces)

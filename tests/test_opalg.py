@@ -173,6 +173,16 @@ class TestMul:
         with pytest.raises(TwistMismatch):
             affine_factor(1, TWIST_Q) * affine_factor(1, TWIST_ONE)
 
+    def test_cancelled_terms_dropped(self):
+        # at twist 1, (D - X)(D + X) = D^2 + 1 - X^2: the XD terms cancel
+        left = NormalOp(TWIST_ONE, {(0, 1, 0): 1, (1, 0, 0): -1})
+        right = NormalOp(TWIST_ONE, {(0, 1, 0): 1, (1, 0, 0): 1})
+        assert (left * right).terms == {
+            (0, 2, 0): QSCALAR_ONE, (0, 0, 0): QSCALAR_ONE, (2, 0, 0): -QSCALAR_ONE}
+        assert (left + (-left)).terms == {}
+        assert left.scale(0).terms == {}
+        assert (left * 0).terms == {}
+
     def test_matches_naive_rewriting_of_concatenation(self):
         rng = random.Random(1006)
         for twist in (TWIST_Q, TWIST_ONE):

@@ -96,6 +96,75 @@ class TestIntPoly:
         assert QScalar(b, g).den == ONE
 
 
+def double_loop_product(a, b):
+    """Reference multiply: every pair of coefficients, zeros included."""
+    out = [0] * (len(a.coeffs) + len(b.coeffs))
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            out[i + j] += x * y
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+BIG = 2 ** 200
+mul_coeffs = st.one_of(st.integers(-3, 3), st.integers(-BIG, BIG))
+# a run of low-end zeros, then arbitrary coefficients
+mul_polys = st.builds(lambda zeros, tail: IntPoly([0] * zeros + tail),
+                      st.integers(0, 40), st.lists(mul_coeffs, max_size=8))
+
+MUL_CASES = (
+    ZERO, ONE, -ONE, IntPoly([7]), IntPoly([-5]), Q, IntPoly.q_power(9),
+    -IntPoly.q_power(4), IntPoly([0] * 30 + [1, 2, -1]), IntPoly([0] * 12 + [3]),
+    IntPoly([BIG, 0, -BIG + 1]), IntPoly([0] * 5 + [-BIG, 1, 0, BIG]),
+    IntPoly([1, -1]), IntPoly([0, 1, 1, 1]),
+)
+
+
+class TestMultiply:
+    """IntPoly multiplication against the double-loop reference."""
+
+    def check(self, a, b):
+        product = a * b
+        assert product.coeffs == double_loop_product(a, b)
+        assert type(product.coeffs) is tuple
+        assert all(type(c) is int for c in product.coeffs)
+        assert not product.coeffs or product.coeffs[-1] != 0
+        assert (b * a).coeffs == product.coeffs
+
+    def test_explicit_cases(self):
+        for a in MUL_CASES:
+            for b in MUL_CASES:
+                self.check(a, b)
+
+    def test_int_operands(self):
+        for a in MUL_CASES:
+            for c in (0, 1, -1, 6, -BIG, True):
+                expected = double_loop_product(a, IntPoly.const(c))
+                assert (a * c).coeffs == expected
+                assert (c * a).coeffs == expected
+
+    @given(mul_polys, mul_polys)
+    def test_matches_double_loop(self, a, b):
+        self.check(a, b)
+
+    @given(st.builds(lambda zeros, tail: IntPoly([0] * zeros + tail),
+                     st.integers(0, 3), st.lists(mul_coeffs, max_size=5)),
+           st.integers(0, 12))
+    def test_power_is_repeated_product(self, p, n):
+        expected = ONE
+        for _ in range(n):
+            expected = IntPoly(double_loop_product(expected, p))
+        assert (p ** n).coeffs == expected.coeffs
+
+    def test_power_examples(self):
+        for p in MUL_CASES:
+            expected = ONE
+            for n in range(13):
+                assert p ** n == expected
+                expected = IntPoly(double_loop_product(expected, p))
+
+
 class TestQScalar:
     def test_canonical_reduction(self):
         # (1-q^3)/(1-q) reduces to the polynomial 1+q+q^2
