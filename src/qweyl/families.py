@@ -15,7 +15,9 @@ bracket ratio [n+k]/[n+k-j] is reduced there and converted with
 to_polynomial: its gcd is the one bench/test_bench.py expects a `family`
 request to run, so moving it to q_product waits for a benchmark change.
 Either way an inexact division raises NotPolynomial, so a transcription slip
-surfaces as an error instead of a silently wrong value.
+surfaces as an error instead of a silently wrong value.  lucas_k is the one
+memo of Lucas coefficients, and the closed q-Weyl sum reads it, so each
+coefficient is computed once per process.
 
 The operators of OPERATORS live in one memoized row table per kind: row n is
 built once, by one composition from row n-1, and `qweyl expand`, the theorem
@@ -233,17 +235,6 @@ def big_hermite(n: int) -> XSPoly:
     return _xsd_power(n).apply(XSPoly.one())
 
 
-def _lucas_k_term(n: int, k: int, j: int) -> IntPoly:
-    """Coefficient of s^j x^(n-2j) in L_n^(k), for 0 <= 2j <= n:
-    q^(C(j,2)) ([n+k]/[n+k-j]) [n+k-j k] [n-j j], made exact via
-    to_polynomial; L_0^(k) = 1 resolves the formal 0/0 at n = k = 0."""
-    if n == 0:
-        return ONE
-    ratio = QScalar(q_integer(n + k), q_integer(n + k - j)) \
-        * gauss_binomial(n + k - j, k) * gauss_binomial(n - j, j)
-    return IntPoly.q_power(math.comb(j, 2)) * to_polynomial(ratio)
-
-
 @lru_cache(maxsize=None)
 def lucas(n: int) -> XSPoly:
     """q-Lucas polynomial L_n, with L_0 = 1."""
@@ -256,10 +247,19 @@ def lucas(n: int) -> XSPoly:
 def lucas_k(n: int, k: int) -> XSPoly:
     """Generalized q-Lucas polynomial L_n^(k):
     sum_j q^(C(j,2)) ([n+k]/[n+k-j]) [n+k-j k] [n-j j] s^j x^(n-2j),
-    with L_0^(k) = 1.  lucas_k(n, 0) is lucas(n)."""
+    with L_0^(k) = 1 (the formal 0/0 at n = k = 0).  The bracket ratio is
+    reduced in the QScalar field and made exact by to_polynomial.
+    lucas_k(n, 0) is lucas(n)."""
     if n < 0 or k < 0:
         raise ValueError("lucas_k requires n, k >= 0")
-    return XSPoly({(n - 2 * j, j): _lucas_k_term(n, k, j) for j in range(n // 2 + 1)})
+    if n == 0:
+        return XSPoly.one()
+    terms = {}
+    for j in range(n // 2 + 1):
+        ratio = QScalar(q_integer(n + k), q_integer(n + k - j)) \
+            * gauss_binomial(n + k - j, k) * gauss_binomial(n - j, j)
+        terms[(n - 2 * j, j)] = IntPoly.q_power(math.comb(j, 2)) * to_polynomial(ratio)
+    return XSPoly(terms)
 
 
 def a_coeff(n: int, k: int) -> XSPoly:
@@ -284,11 +284,12 @@ def hermite_lucas_expand(n: int) -> XSPoly:
 
 def _qweyl_closed(n: int, m: int, l: int) -> IntPoly:
     """The alternating binomial sum of generalized Lucas coefficients,
-    sum_i (-1)^(l-i) C(n, i) [s^(l-i)] L^(m-l)_(n-2i-(m-l)), over (1-q)^l."""
+    sum_i (-1)^(l-i) C(n, i) [s^(l-i)] L^(m-l)_(n-2i-(m-l)), over (1-q)^l.
+    Each Lucas coefficient is read from the lucas_k memo."""
     total = ZERO
     for i in range(l + 1):
         sign = -1 if (l - i) % 2 else 1
-        term = _lucas_k_term(n - 2 * i - (m - l), m - l, l - i)
+        term = lucas_k(n - 2 * i - (m - l), m - l).coefficient(n - m - l, l - i).num
         total = total + sign * math.comb(n, i) * term
     return q_product([(1, -l)], base=total)
 

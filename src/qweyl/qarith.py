@@ -201,23 +201,19 @@ class IntPoly:
         return f"IntPoly({list(self.coeffs)!r})"
 
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        pieces = []
+        out = []
         for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            mag = abs(c)
-            if i == 0:
-                body = str(mag)
-            else:
-                head = "" if mag == 1 else str(mag)
-                body = head + ("q" if i == 1 else f"q^{i}")
-            if not pieces:
-                pieces.append(("-" if c < 0 else "") + body)
-            else:
-                pieces.append(("-" if c < 0 else "+") + body)
-        return "".join(pieces)
+            if c:
+                if c < 0:
+                    out.append("-")
+                    c = -c
+                elif out:
+                    out.append("+")
+                if c != 1 or not i:
+                    out.append(str(c))
+                if i:
+                    out.append("q" if i == 1 else f"q^{i}")
+        return "".join(out) or "0"
 
 
 ZERO = IntPoly()

@@ -449,3 +449,48 @@ class TestMemoTablesUnderThreads:
                 reset()
         assert results == [serial] * 6
         assert sizes == {kind: 11 for kind in OPERATORS}
+
+
+def _row_by(n, path, order=1):
+    """Row n of the q-Weyl triangle by one path, keyed (m, l), computed in
+    ascending (order=1) or descending (order=-1) (m, l) order."""
+    keys = list(families._triangle(n))[::order]
+    return {key: qweyl_binomial(n, *key, path) for key in keys}
+
+
+class TestLucasMemo:
+    def test_closed_row_fills_each_lucas_row_once(self):
+        n = 12
+        needed = {(n - 2 * i - (m - l), m - l)
+                  for m, l in families._triangle(n) for i in range(l + 1)}
+        lucas_k.cache_clear()
+        _row_by(n, "closed")
+        assert lucas_k.cache_info().misses == len(needed)
+        # the factored path reads the m = l entries, already in the memo
+        _row_by(n, "factored")
+        assert lucas_k.cache_info().misses == len(needed)
+
+    def test_fill_order_and_threads_cannot_change_a_value(self):
+        def values():
+            return [_row_by(n, path, -1) for n in range(8, 15)
+                    for path in ("closed", "factored")]
+
+        expected = [_row_by(n, "recurrence") for n in range(8, 15) for _ in range(2)]
+        lucas_k.cache_clear()
+        assert values() == expected
+
+        results = []
+        start = threading.Barrier(6)
+
+        def work():
+            start.wait(timeout=60)
+            results.append(values())
+
+        lucas_k.cache_clear()
+        threads = [threading.Thread(target=work) for _ in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [expected] * 6

@@ -83,6 +83,11 @@ class TestIntPoly:
         assert str(IntPoly([1, -1])) == "1-q"
         assert str(IntPoly([3, 5, 3, 1])) == "3+5q+3q^2+q^3"
         assert str(ZERO) == "0"
+        assert str(IntPoly([-1, 0, -2, -1])) == "-1-2q^2-q^3"
+        assert str(IntPoly([0, -1, 2])) == "-q+2q^2"
+        assert str(IntPoly([0, 0, -3])) == "-3q^2"
+        assert str(IntPoly([-5])) == "-5"
+        assert str(IntPoly([2, -1, 1])) == "2-q+q^2"
 
     @given(small_polys, small_polys, small_polys)
     def test_mul_distributes(self, a, b, c):
