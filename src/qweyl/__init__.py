@@ -15,10 +15,8 @@ from .qarith import (
     QScalar,
     eval_q,
     gauss_binomial,
-    q_even_product,
     q_factorial,
     q_integer,
-    q_odd_double_factorial,
     q_product,
     to_polynomial,
 )
@@ -65,8 +63,7 @@ __all__ = [
     "IntPoly", "QScalar", "XSPoly", "OpExpr", "NormalOp",
     "NotPolynomial", "PoleAtPoint", "TwistMismatch", "IndexOutOfRange",
     "TWIST_Q", "TWIST_ONE",
-    "q_integer", "q_factorial", "gauss_binomial",
-    "q_odd_double_factorial", "q_even_product", "q_product", "to_polynomial",
+    "q_integer", "q_factorial", "gauss_binomial", "q_product", "to_polynomial",
     "eval_q",
     "normal_order", "affine_factor", "product", "power",
     "hermite", "weyl_binomial", "h_poly", "apply_exp_q2", "g_coeff",

@@ -98,6 +98,10 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     reports = run_cases(args.case if args.case else None, args.n_max)
+    if not reports:
+        print(f"--n-max {args.n_max} is below the first n of every selected case: "
+              f"{', '.join(args.case)}", file=sys.stderr)
+        return 2
     if args.json:
         print(json.dumps([r.to_json() for r in reports]))
     else:

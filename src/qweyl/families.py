@@ -19,17 +19,19 @@ surfaces as an error instead of a silently wrong value.  lucas_k is the one
 memo of Lucas coefficients, and the closed q-Weyl sum reads it, so each
 coefficient is computed once per process.
 
-The operators of OPERATORS live in one memoized row table per kind: row n is
-built once, by one composition from row n-1, and `qweyl expand`, the theorem
-cases and (X + sD)^n all read it.  Memory held grows with the largest n asked
-of each kind.  Every value handed out has a read-only term map, so a caller
-cannot change what a memo table serves.
+operator_row(kind, n) memoizes the operators of OPERATORS with lru_cache,
+per (kind, n), and fills upward: row n is built once, by one composition
+from row n-1, and `qweyl expand`, the theorem cases and (X + sD)^n all read
+it.  Memory held grows with the largest n asked of each kind.  Concurrent
+cold calls may each build a row; the rows they build are equal, and the
+cache keeps one.  Every table here is such an lru_cache, and every value
+handed out has a read-only term map, so a caller cannot change what a memo
+table serves.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from functools import lru_cache
 from typing import Callable, Iterator, NamedTuple
 
@@ -81,31 +83,22 @@ OPERATORS: dict[str, _Operator] = {
 }
 
 
-def _operator_step(kind: str, op: NormalOp, n: int) -> NormalOp:
-    """The n-th operator of OPERATORS[kind] from op, its (n-1)-th."""
-    twist, c, left = OPERATORS[kind]
-    factor = affine_factor(c(n), twist)
-    return factor * op if left else op * factor
-
-
-# Normal forms of each OPERATORS kind, row n the n-th operator, shared and
-# grown like the q-Weyl rows below: built whole from the row before,
-# appended under the lock, read without it.
-_OPERATOR_ROWS: dict[str, list[NormalOp]] = {
-    kind: [NormalOp.identity(op.twist)] for kind, op in OPERATORS.items()}
-_OPERATOR_LOCK = threading.Lock()
-
-
+@lru_cache(maxsize=None)
 def operator_row(kind: str, n: int) -> NormalOp:
-    """Normal form of the n-th operator of OPERATORS[kind]."""
+    """Normal form of the n-th operator of OPERATORS[kind]: row n is row n-1
+    composed with the n-th factor, on the side the kind names."""
     if n < 0:
         raise ValueError("operator_row requires n >= 0")
-    rows = _OPERATOR_ROWS[kind]
-    if len(rows) <= n:
-        with _OPERATOR_LOCK:
-            while len(rows) <= n:
-                rows.append(_operator_step(kind, rows[-1], len(rows)))
-    return rows[n]
+    twist, c, left = OPERATORS[kind]
+    if n == 0:
+        return NormalOp.identity(twist)
+    # Fill the cache upward first, so that no call recurses more than one
+    # level, however large n is.
+    for i in range(n - 1):
+        operator_row(kind, i)
+    factor = affine_factor(c(n), twist)
+    prev = operator_row(kind, n - 1)
+    return factor * prev if left else prev * factor
 
 
 def _triangle(n: int) -> Iterator[tuple[int, int]]:
@@ -294,32 +287,27 @@ def _qweyl_closed(n: int, m: int, l: int) -> IntPoly:
     return q_product([(1, -l)], base=total)
 
 
-# Rows of the q-Weyl triangle, shared and grown like the operator rows
-# above: built whole, appended under the lock, read without it.
-_QWEYL_ROWS: list[dict[tuple[int, int], IntPoly]] = [{(0, 0): ONE}]
-_QWEYL_LOCK = threading.Lock()
-
-
+@lru_cache(maxsize=None)
 def _qweyl_row(n: int) -> dict[tuple[int, int], IntPoly]:
     """Row n of the q-Weyl triangle by the three-term recurrence
 
     {n+1 m}_l = {n m-1}_l + [m+1-l] {n m}_(l-1) + q^(m-l) {n m}_l
 
     with {0 0}_0 = 1 and zero outside the triangle."""
-    if len(_QWEYL_ROWS) <= n:
-        with _QWEYL_LOCK:
-            while len(_QWEYL_ROWS) <= n:
-                r = len(_QWEYL_ROWS)
-                prev = _QWEYL_ROWS[r - 1]
-                row: dict[tuple[int, int], IntPoly] = {}
-                for m, l in _triangle(r):
-                    val = prev.get((m - 1, l), ZERO) \
-                        + q_integer(m + 1 - l) * prev.get((m, l - 1), ZERO) \
-                        + IntPoly.q_power(m - l) * prev.get((m, l), ZERO)
-                    if not val.is_zero():
-                        row[(m, l)] = val
-                _QWEYL_ROWS.append(row)
-    return _QWEYL_ROWS[n]
+    if n == 0:
+        return {(0, 0): ONE}
+    # Fill the cache upward first, as operator_row does.
+    for i in range(n - 1):
+        _qweyl_row(i)
+    prev = _qweyl_row(n - 1)
+    row: dict[tuple[int, int], IntPoly] = {}
+    for m, l in _triangle(n):
+        val = prev.get((m - 1, l), ZERO) \
+            + q_integer(m + 1 - l) * prev.get((m, l - 1), ZERO) \
+            + IntPoly.q_power(m - l) * prev.get((m, l), ZERO)
+        if not val.is_zero():
+            row[(m, l)] = val
+    return row
 
 
 QWEYL_PATHS = ("closed", "factored", "recurrence")

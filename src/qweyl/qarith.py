@@ -546,20 +546,6 @@ def gauss_binomial(n: int, k: int) -> IntPoly:
     return q_product(_q_binom(n, k))
 
 
-def q_odd_double_factorial(j: int) -> IntPoly:
-    """[2j-1]!! = [1][3]...[2j-1]; empty product 1."""
-    if j < 0:
-        raise ValueError("q_odd_double_factorial requires j >= 0")
-    return q_product(_q_odd_double(j))
-
-
-def q_even_product(j: int) -> IntPoly:
-    """(1+q)(1+q^2)...(1+q^j); empty product 1."""
-    if j < 0:
-        raise ValueError("q_even_product requires j >= 0")
-    return q_product(_q_even(j))
-
-
 def to_polynomial(a: QScalar) -> IntPoly:
     """The IntPoly equal to a, when its canonical denominator is 1.
 

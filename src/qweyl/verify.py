@@ -313,6 +313,9 @@ def _run_case(case_id: str, n_max: int, fault_seed: Optional[int],
         raise ValueError("n_max must be positive")
     if not theorem:
         n_max = min(n_max, case.n_max)
+    if n_max < case.start:
+        raise ValueError(f"case {case_id} starts at n = {case.start}, "
+                         f"so n_max = {n_max} leaves it no n to check")
     comparisons = list(case.check(range(case.start, n_max + 1)))
     if fault_seed is not None:
         rng = random.Random(fault_seed)
@@ -346,20 +349,23 @@ def verify_theorem(case_id: str, n_max: int,
 def verify_identity(case_id: str, n_max: int,
                     fault_seed: Optional[int] = None) -> VerificationReport:
     """Check one recurrence/derivative/collapse identity over its stated
-    range, capped at n_max."""
+    range, capped at n_max; ValueError if that leaves no n to check."""
     return _run_case(case_id, n_max, fault_seed, theorem=False)
 
 
 def run_cases(case_ids: Optional[Iterable[str]] = None,
               n_max: Optional[int] = None) -> list[VerificationReport]:
     """Run selected cases (default: all) at their stated ranges, capped at
-    n_max when given.  Reports come back in a fixed case order."""
+    n_max when given.  Reports come back in a fixed case order; a case whose
+    capped range holds no n is left out."""
     reports = []
     for case_id in ALL_CASE_IDS if case_ids is None else case_ids:
         case = CASES.get(case_id)
         if case is None:
             raise ValueError(f"unknown case {case_id!r}")
         limit = case.n_max if n_max is None else min(case.n_max, n_max)
+        if limit < case.start:
+            continue
         verify = verify_theorem if case.theorem else verify_identity
         reports.append(verify(case_id, limit))
     return reports

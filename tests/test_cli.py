@@ -76,8 +76,7 @@ class TestExpand:
         random.Random(7).shuffle(argvs)
         warm = [run_cli(capsys, *argv) for argv in argvs]
         for argv, served in zip(argvs, warm):
-            for rows in families._OPERATOR_ROWS.values():
-                del rows[1:]
+            families.operator_row.cache_clear()
             assert run_cli(capsys, *argv) == served, argv
 
 
@@ -172,6 +171,13 @@ class TestVerify:
     def test_unknown_case(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "--case", "T9")
         assert code == 2
+
+    def test_selection_with_no_case_to_run(self, capsys):
+        # rec-2.8 starts at n = 2, so --n-max 1 leaves nothing to verify
+        code, out, err = run_cli(capsys, "verify", "--case", "rec-2.8", "--n-max", "1")
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "rec-2.8" in err
 
 
 class TestInternalError:

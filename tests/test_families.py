@@ -36,7 +36,7 @@ from qweyl.qarith import (
     ZERO,
     eval_q,
     gauss_binomial,
-    q_odd_double_factorial,
+    q_integer,
     q_pow,
     to_polynomial,
 )
@@ -83,9 +83,9 @@ class TestOperators:
         # a row read after a higher one was built is the same operator as
         # the product of its factors
         for kind in OPERATORS:
-            del families._OPERATOR_ROWS[kind][1:]
+            operator_row.cache_clear()
             high = operator_row(kind, 12)
-            assert len(families._OPERATOR_ROWS[kind]) == 13
+            assert operator_row.cache_info().currsize == 13
             assert operator_row(kind, 5) == built(kind, 5), kind
             assert high == built(kind, 12), kind
 
@@ -193,8 +193,9 @@ class TestHPoly:
         # the same coefficient written as q^(j^2) [n 2j] [2j-1]!!
         for n in range(11):
             for j in range(n // 2 + 1):
-                expected = IntPoly.q_power(j * j) * gauss_binomial(n, 2 * j) \
-                    * q_odd_double_factorial(j)
+                odd_double = math.prod((q_integer(2 * i - 1) for i in range(1, j + 1)),
+                                       start=ONE)
+                expected = IntPoly.q_power(j * j) * gauss_binomial(n, 2 * j) * odd_double
                 assert h_poly(n).coefficient(n - 2 * j, j) == QScalar(expected)
 
     def test_generated_by_descending_product(self):
@@ -277,7 +278,7 @@ class TestBigHermite:
         # one frame per n needed over 40
         _xsd_power.cache_clear()
         big_hermite.cache_clear()
-        del families._OPERATOR_ROWS["qpower"][1:]
+        operator_row.cache_clear()
         with spare_frames(30):
             h = big_hermite(20)
         assert h == XSPoly({(20 - 2 * l, l): qweyl_binomial(20, l, l, "recurrence")
@@ -286,9 +287,9 @@ class TestBigHermite:
 
 class TestOperatorRows:
     def test_cold_row_needs_no_deep_recursion(self, spare_frames):
-        # rows are appended one at a time from the row before, so a cold
-        # qodd row at n = 20 fits in 30 frames
-        del families._OPERATOR_ROWS["qodd"][1:]
+        # rows are filled upward, each from the row before, so a cold qodd
+        # row at n = 20 fits in 30 frames
+        operator_row.cache_clear()
         with spare_frames(30):
             op = operator_row("qodd", 20)
         assert op.terms == {(m - j, 20 - m - j, 20 - m): corollary3_coeff(20, m, j)
@@ -393,6 +394,14 @@ class TestQWeylBinomial:
                 for l in range(min(m, n - m) + 1):
                     assert qweyl_binomial(n, m, l) == qweyl_binomial(n, n - m, l)
 
+    def test_cold_recurrence_row_needs_no_deep_recursion(self, spare_frames):
+        # the recurrence rows are filled upward, so a cold row 30 fits in 20
+        # frames
+        families._qweyl_row.cache_clear()
+        with spare_frames(20):
+            value = qweyl_binomial(30, 15, 3, "recurrence")
+        assert value == qweyl_binomial(30, 15, 3, "closed")
+
     def test_q1_collapse(self):
         for n in range(9):
             for m in range(n + 1):
@@ -403,10 +412,10 @@ class TestQWeylBinomial:
 
 class TestMemoTablesUnderThreads:
     def test_concurrent_growth_matches_serial(self):
-        # the q-Weyl recurrence rows, the operator rows and the engine's
-        # D X^a memo are shared tables grown on demand, and the Gaussian
-        # binomials are memoized; threads filling them at once must not
-        # publish a row twice or out of place
+        # the q-Weyl recurrence rows, the operator rows and the Gaussian
+        # binomials are lru caches, and the engine's D X^a memo is a shared
+        # table grown on demand; threads filling them at once must all get
+        # the serial values, and the cache must hold each row once
         def values():
             ops = [power(affine_factor(1, twist), 12) for twist in (TWIST_Q, TWIST_ONE)]
             gauss = [gauss_binomial(40, k) for k in range(41)]
@@ -417,9 +426,8 @@ class TestMemoTablesUnderThreads:
 
         def reset():
             gauss_binomial.cache_clear()
-            del families._QWEYL_ROWS[1:]
-            for rows in families._OPERATOR_ROWS.values():
-                del rows[1:]
+            families._qweyl_row.cache_clear()
+            operator_row.cache_clear()
             opalg._D_POW_PAST_X.clear()
 
         serial = values()
@@ -442,13 +450,14 @@ class TestMemoTablesUnderThreads:
             for t in threads:
                 t.join(timeout=120)
             assert not any(t.is_alive() for t in threads)
-            sizes = {kind: len(rows) for kind, rows in families._OPERATOR_ROWS.items()}
+            rows_held = operator_row.cache_info().currsize
         finally:
             sys.setswitchinterval(interval)
             if results != [serial] * 6:
                 reset()
         assert results == [serial] * 6
-        assert sizes == {kind: 11 for kind in OPERATORS}
+        # rows 0-10 of each kind, each held once
+        assert rows_held == 11 * len(OPERATORS)
 
 
 def _row_by(n, path, order=1):

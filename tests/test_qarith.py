@@ -16,17 +16,27 @@ from qweyl.qarith import (
     QScalar,
     ONE,
     ZERO,
+    _q_even,
+    _q_odd_double,
     eval_q,
     gauss_binomial,
     poly_gcd,
-    q_even_product,
     q_factorial,
     q_integer,
-    q_odd_double_factorial,
     q_pow,
     q_product,
     to_polynomial,
 )
+
+
+def even_product(j):
+    """(1+q)(1+q^2)...(1+q^j) as a plain IntPoly product."""
+    return math.prod((ONE + IntPoly.q_power(i) for i in range(1, j + 1)), start=ONE)
+
+
+def odd_double_factorial(j):
+    """[2j-1]!! = [1][3]...[2j-1] as a plain IntPoly product."""
+    return math.prod((q_integer(2 * i - 1) for i in range(1, j + 1)), start=ONE)
 
 
 def gauss_by_factorials(n, k):
@@ -305,20 +315,18 @@ class TestProducts:
         for n in range(31):
             assert q_factorial(n) == \
                 math.prod((q_integer(i) for i in range(1, n + 1)), start=ONE)
-            assert q_even_product(n) == \
-                math.prod((ONE + IntPoly.q_power(i) for i in range(1, n + 1)), start=ONE)
-            assert q_odd_double_factorial(n) == \
-                math.prod((q_integer(2 * i - 1) for i in range(1, n + 1)), start=ONE)
+            assert q_product(_q_even(n)) == even_product(n)
+            assert q_product(_q_odd_double(n)) == odd_double_factorial(n)
 
     def test_odd_double_factorial(self):
-        assert q_odd_double_factorial(0) == ONE
-        assert q_odd_double_factorial(1) == ONE
-        assert q_odd_double_factorial(2) == IntPoly([1, 1, 1])
+        assert q_product(_q_odd_double(0)) == ONE
+        assert q_product(_q_odd_double(1)) == ONE
+        assert q_product(_q_odd_double(2)) == IntPoly([1, 1, 1])
 
     def test_even_product(self):
-        assert q_even_product(0) == ONE
-        assert q_even_product(1) == IntPoly([1, 1])
-        assert q_even_product(2) == IntPoly([1, 1, 1, 1])
+        assert q_product(_q_even(0)) == ONE
+        assert q_product(_q_even(1)) == IntPoly([1, 1])
+        assert q_product(_q_even(2)) == IntPoly([1, 1, 1, 1])
 
 
 factor_pairs = st.lists(st.tuples(st.integers(1, 6), st.integers(-3, 3)), max_size=6)
@@ -378,7 +386,7 @@ def g_by_field(n, k):
     terms = {}
     for j in range((n - k) // 2 + 1):
         c = QScalar(gauss_binomial(n, k)) * q_pow(j * j + k * j + math.comb(k, 2)) \
-            * gauss_binomial(n - k, 2 * j) * q_odd_double_factorial(j)
+            * gauss_binomial(n - k, 2 * j) * odd_double_factorial(j)
         for i in range(k):
             c = c * QScalar(ONE + IntPoly.q_power(n - j - i), ONE + IntPoly.q_power(j + 1 + i))
         terms[(n - k - 2 * j, j)] = to_polynomial(c)
@@ -389,13 +397,13 @@ def corollary2_by_field(n, m, j):
     c = q_pow(math.comb(j + 1, 2) + math.comb(n - m, 2)) * q_factorial(n)
     for e in range(m + 1, n - j + 1):
         c = c * (ONE + IntPoly.q_power(e))
-    return c / QScalar(q_even_product(n - m) * q_factorial(j) * q_factorial(m - j)
+    return c / QScalar(even_product(n - m) * q_factorial(j) * q_factorial(m - j)
                        * q_factorial(n - m - j))
 
 
 def corollary3_by_field(n, m, j):
     c = q_pow(n * n + j * j - (m + j) * n) * q_factorial(n)
-    return c / QScalar(q_even_product(j) * q_factorial(j) * q_factorial(m - j)
+    return c / QScalar(even_product(j) * q_factorial(j) * q_factorial(m - j)
                        * q_factorial(n - m - j))
 
 

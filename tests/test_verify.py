@@ -65,6 +65,12 @@ class TestIdentities:
         with pytest.raises(ValueError):
             verify_identity("T1", 3)
 
+    def test_empty_range_is_refused(self):
+        # rec-2.8 starts at n = 2, so n_max = 1 leaves it nothing to compare
+        with pytest.raises(ValueError, match=r"rec-2\.8.*n = 2"):
+            verify_identity("rec-2.8", 1)
+        assert verify_identity("rec-2.8", 2).n_range == (2, 2)
+
 
 class TestFaultInjection:
     def test_flip_is_detected(self):
@@ -106,9 +112,14 @@ class TestRunCases:
         assert all(r.passed for r in reports)
 
     def test_all_cases_at_n1(self):
+        # rec-2.8 starts at n = 2, so the cap leaves it out of the reports
         reports = run_cases(n_max=1)
-        assert [r.case_id for r in reports] == list(ALL_CASE_IDS)
+        assert [r.case_id for r in reports] == [i for i in ALL_CASE_IDS if i != "rec-2.8"]
         assert all(r.passed for r in reports)
+
+    def test_case_with_empty_range_is_left_out(self):
+        assert run_cases(["rec-2.8"], n_max=1) == []
+        assert [r.case_id for r in run_cases(["T1", "rec-2.8"], n_max=1)] == ["T1"]
 
     def test_unknown_id(self):
         with pytest.raises(ValueError):
