@@ -84,6 +84,8 @@ class OpExpr:
         return cls(tuple(terms))
 
     def __add__(self, other: "OpExpr") -> "OpExpr":
+        if not isinstance(other, OpExpr):
+            return NotImplemented
         return OpExpr(self.terms + other.terms)
 
 

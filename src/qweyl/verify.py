@@ -1,10 +1,10 @@
 """Verification harness: closed forms against the rewriting oracle.
 
-Each case assembles, for every degree n in its range, a left side from the
-engine (operator powers and products) and a right side from closed-form
-families, then compares term maps exactly -- no sampling, no tolerance.
-Cases are pure functions of their arguments, so they are deterministic and
-safe to run concurrently.
+A case checks one degree n: it assembles a left side from the engine
+(operator powers and products) and a right side from closed-form families,
+as term maps.  The harness walks the case's range of n, in ascending order,
+and compares the maps exactly -- no sampling, no tolerance.  Cases are pure
+functions of n, so they are deterministic and safe to run concurrently.
 
 A seeded fault-injection mode flips the sign of one randomly chosen
 right-hand-side coefficient and must drive the case to a failing report
@@ -36,11 +36,10 @@ from .families import (
     qweyl_binomial,
     weyl_binomial,
 )
-from .opalg import NormalOp
 from .polyring import XSPoly
 from .qarith import QScalar, QSCALAR_ZERO, eval_q, gauss_binomial, q_integer, q_pow
 
-Comparison = tuple[int, Mapping, Mapping]  # (n, lhs term map, rhs term map)
+Comparison = tuple[Mapping, Mapping]  # (lhs term map, rhs term map)
 
 
 @dataclass(frozen=True)
@@ -77,68 +76,60 @@ class VerificationReport:
 # Theorem cases: operator identities, engine on the left, closed forms right.
 # ---------------------------------------------------------------------------
 
-def _operators(kind: str, ns: range) -> Iterator[tuple[int, NormalOp]]:
-    """(n, normal form of the n-th operator of an OPERATORS kind)."""
-    return ((n, operator_row(kind, n)) for n in ns)
-
-
-def _sd_sum_case(lhs: Iterable[tuple[int, NormalOp]],
+def _sd_sum_case(kind: str, n: int,
                  term: Callable[[int, int], tuple]) -> Iterator[Comparison]:
-    """Each operator against sum_k scale * P(X, s) (sD)^k, where
-    term(n, k) = (scale, P).  P(X, s) has no D, so the term map of
+    """Operator n of an OPERATORS kind against sum_k scale * P(X, s) (sD)^k,
+    where term(n, k) = (scale, P).  P(X, s) has no D, so the term map of
     P(X, s) (sD)^k is written directly: c x^a s^m becomes c X^a D^k s^(m+k)."""
-    for n, op in lhs:
-        rhs = {}
-        for k in range(n + 1):
-            scale, p = term(n, k)
-            for (a, m), c in p.terms.items():
-                rhs[(a, k, m + k)] = c * scale
-        yield n, op.terms, rhs
+    lhs, rhs = operator_row(kind, n).terms, {}
+    for k in range(n + 1):
+        scale, p = term(n, k)
+        for (a, m), c in p.terms.items():
+            rhs[(a, k, m + k)] = c * scale
+    yield lhs, rhs
 
 
-def _expanded_case(lhs: Iterable[tuple[int, NormalOp]],
+def _expanded_case(kind: str, n: int,
                    coeff: Callable[[int, int, int], QScalar]) -> Iterator[Comparison]:
-    """Each operator against coeff(n, m, j) at X^(m-j) D^(n-m-j) s^(n-m)."""
-    for n, op in lhs:
-        yield n, op.terms, {(m - j, n - m - j, n - m): coeff(n, m, j) for m, j in _triangle(n)}
+    """Operator n of an OPERATORS kind against coeff(n, m, j) at X^(m-j) D^(n-m-j) s^(n-m)."""
+    lhs = operator_row(kind, n).terms
+    yield lhs, {(m - j, n - m - j, n - m): coeff(n, m, j) for m, j in _triangle(n)}
 
 
-def _case_t1(ns: range) -> Iterator[Comparison]:
+def _case_t1(n: int) -> Iterator[Comparison]:
     """(X+sD)^n = sum_k C(n,k) H_(n-k)(X,s) (sD)^k at q = 1."""
-    return _sd_sum_case(_operators("classical", ns),
-                        lambda n, k: (math.comb(n, k), hermite(n - k)))
+    return _sd_sum_case("classical", n, lambda n, k: (math.comb(n, k), hermite(n - k)))
 
 
-def _case_c1(ns: range) -> Iterator[Comparison]:
+def _case_c1(n: int) -> Iterator[Comparison]:
     """Normal form of (X+sD)^n at q = 1 has Weyl binomial coefficients."""
-    return _expanded_case(_operators("classical", ns),
-                          lambda n, m, j: QScalar(weyl_binomial(n, m, j)))
+    return _expanded_case("classical", n, lambda n, m, j: QScalar(weyl_binomial(n, m, j)))
 
 
-def _case_t2(ns: range) -> Iterator[Comparison]:
+def _case_t2(n: int) -> Iterator[Comparison]:
     """(X+q^(n-1)sD)...(X+sD) = sum_k g_n(k,X,s) s^k D^k."""
-    return _sd_sum_case(_operators("qdesc", ns), lambda n, k: (1, g_coeff(n, k)))
+    return _sd_sum_case("qdesc", n, lambda n, k: (1, g_coeff(n, k)))
 
 
-def _case_c2(ns: range) -> Iterator[Comparison]:
+def _case_c2(n: int) -> Iterator[Comparison]:
     """Fully expanded coefficients of the descending-power product."""
-    return _expanded_case(_operators("qdesc", ns), corollary2_coeff)
+    return _expanded_case("qdesc", n, corollary2_coeff)
 
 
-def _case_t3(ns: range) -> Iterator[Comparison]:
+def _case_t3(n: int) -> Iterator[Comparison]:
     """(X+qsD)(X+q^3 sD)...(X+q^(2n-1)sD) = sum_k [n k] q^(kn) h_(n-k)(X,s) (sD)^k."""
-    return _sd_sum_case(_operators("qodd", ns), lambda n, k: (
+    return _sd_sum_case("qodd", n, lambda n, k: (
         QScalar(gauss_binomial(n, k)) * q_pow(k * n), h_poly(n - k)))
 
 
-def _case_c3(ns: range) -> Iterator[Comparison]:
+def _case_c3(n: int) -> Iterator[Comparison]:
     """Fully expanded coefficients of the odd-power product."""
-    return _expanded_case(_operators("qodd", ns), corollary3_coeff)
+    return _expanded_case("qodd", n, corollary3_coeff)
 
 
-def _case_t4(ns: range) -> Iterator[Comparison]:
+def _case_t4(n: int) -> Iterator[Comparison]:
     """(X+(1-q)sD)^n = sum_k A(n,k,X) (1-q)^k s^k D^k."""
-    return _sd_sum_case(_operators("qtheorem4", ns), lambda n, k: (
+    return _sd_sum_case("qtheorem4", n, lambda n, k: (
         QScalar(ONE_MINUS_Q) ** k, a_coeff(n, k)))
 
 
@@ -146,125 +137,107 @@ def _case_t4(ns: range) -> Iterator[Comparison]:
 # Identity cases: recurrences, derivative rules, collapses.
 # ---------------------------------------------------------------------------
 
-def _case_h_deriv(ns: range) -> Iterator[Comparison]:
-    for n in ns:
-        yield n, hermite(n).ddx().terms, (n * hermite(n - 1)).terms
+def _case_h_deriv(n: int) -> Iterator[Comparison]:
+    yield hermite(n).ddx().terms, (n * hermite(n - 1)).terms
 
 
-def _case_op_110(ns: range) -> Iterator[Comparison]:
+def _case_op_110(n: int) -> Iterator[Comparison]:
     """D H_n(X,s) = H_n(X,s) D + n H_(n-1)(X,s), as apply-equality on x^m."""
-    for n in ns:
-        hn, hprev = hermite(n), hermite(n - 1)
-        for m in range(9):
-            xm = XSPoly.x(m)
-            lhs = (hn * xm).ddx()
-            rhs = hn * xm.ddx() + n * (hprev * xm)
-            yield n, lhs.terms, rhs.terms
+    hn, hprev = hermite(n), hermite(n - 1)
+    for m in range(9):
+        xm = XSPoly.x(m)
+        lhs = (hn * xm).ddx()
+        rhs = hn * xm.ddx() + n * (hprev * xm)
+        yield lhs.terms, rhs.terms
 
 
-def _case_sym_113(ns: range) -> Iterator[Comparison]:
-    for n in ns:
-        lhs, rhs = {}, {}
-        for m, j in _triangle(n):
-            w = QScalar(weyl_binomial(n, m, j))
-            lhs[(m, j, 0)] = w
-            rhs[(m, j, 0)] = QScalar(weyl_binomial(n, n - m, j))
-            lhs[(m, j, 1)] = w
-            rhs[(m, j, 1)] = QScalar(math.comb(n - 2 * j, m - j) * weyl_binomial(n, j, j))
-        yield n, lhs, rhs
+def _case_sym_113(n: int) -> Iterator[Comparison]:
+    lhs, rhs = {}, {}
+    for m, j in _triangle(n):
+        w = QScalar(weyl_binomial(n, m, j))
+        lhs[(m, j, 0)] = w
+        rhs[(m, j, 0)] = QScalar(weyl_binomial(n, n - m, j))
+        lhs[(m, j, 1)] = w
+        rhs[(m, j, 1)] = QScalar(math.comb(n - 2 * j, m - j) * weyl_binomial(n, j, j))
+    yield lhs, rhs
 
 
-def _case_h_closed(ns: range) -> Iterator[Comparison]:
+def _case_h_closed(n: int) -> Iterator[Comparison]:
     """The descending-power product applied to 1 gives h_n."""
-    for n, op in _operators("qdesc", ns):
-        yield n, op.apply(XSPoly.one()).terms, h_poly(n).terms
+    yield operator_row("qdesc", n).apply(XSPoly.one()).terms, h_poly(n).terms
 
 
-def _case_exp_26(ns: range) -> Iterator[Comparison]:
-    for n in ns:
-        yield n, apply_exp_q2(XSPoly.x(n)).terms, h_poly(n).terms
+def _case_exp_26(n: int) -> Iterator[Comparison]:
+    yield apply_exp_q2(XSPoly.x(n)).terms, h_poly(n).terms
 
 
-def _case_dq_27(ns: range) -> Iterator[Comparison]:
-    for n in ns:
-        rhs = QScalar(q_integer(n)) * h_poly(n - 1)
-        yield n, h_poly(n).dq().terms, rhs.terms
+def _case_dq_27(n: int) -> Iterator[Comparison]:
+    rhs = QScalar(q_integer(n)) * h_poly(n - 1)
+    yield h_poly(n).dq().terms, rhs.terms
 
 
-def _case_rec_28(ns: range) -> Iterator[Comparison]:
-    for n in ns:
-        rhs = h_poly(n - 1).shift(1, 0) \
-            + h_poly(n - 2).shift(0, 1, q_pow(n - 1) * q_integer(n - 1))
-        yield n, h_poly(n).terms, rhs.terms
+def _case_rec_28(n: int) -> Iterator[Comparison]:
+    rhs = h_poly(n - 1).shift(1, 0) \
+        + h_poly(n - 2).shift(0, 1, q_pow(n - 1) * q_integer(n - 1))
+    yield h_poly(n).terms, rhs.terms
 
 
-def _case_rec_33(ns: range) -> Iterator[Comparison]:
+def _case_rec_33(n: int) -> Iterator[Comparison]:
     """h_n(x,s) = x h_(n-1)(x, q^2 s) + q s Dq h_(n-1)(x, q^2 s)."""
-    for n in ns:
-        scaled = h_poly(n - 1).dilate(0, 2)
-        rhs = scaled.shift(1, 0) + scaled.dq().shift(0, 1, q_pow(1))
-        yield n, h_poly(n).terms, rhs.terms
+    scaled = h_poly(n - 1).dilate(0, 2)
+    rhs = scaled.shift(1, 0) + scaled.dq().shift(0, 1, q_pow(1))
+    yield h_poly(n).terms, rhs.terms
 
 
-def _case_scale_3(ns: range) -> Iterator[Comparison]:
-    for n in ns:
-        yield n, h_poly(n).dilate(1, 2).terms, (q_pow(n) * h_poly(n)).terms
+def _case_scale_3(n: int) -> Iterator[Comparison]:
+    yield h_poly(n).dilate(1, 2).terms, (q_pow(n) * h_poly(n)).terms
 
 
-def _lucas_op(p: XSPoly) -> XSPoly:
-    """(X + (1-q) s Dq) acting on a polynomial."""
-    return p.shift(1, 0) + p.dq().shift(0, 1, QScalar(ONE_MINUS_Q))
-
-
-def _case_lucas(ns: range) -> Iterator[Comparison]:
+def _case_lucas(n: int) -> Iterator[Comparison]:
     """The three Lucas relations, including the extra +s at n = 1."""
-    for n in ns:
-        lhs = _lucas_op(lucas(n).scale_s(-1))
-        if n == 0:
-            rhs = lucas(1).scale_s(-1)
-        elif n == 1:
-            rhs = lucas(2).scale_s(-1) + XSPoly.s() + XSPoly.s()
-        else:
-            rhs = lucas(n + 1).scale_s(-1) + lucas(n - 1).scale_s(-1).shift(0, 1)
-        yield n, lhs.terms, rhs.terms
+    p = lucas(n).scale_s(-1)
+    lhs = p.shift(1, 0) + p.dq().shift(0, 1, QScalar(ONE_MINUS_Q))  # (X + (1-q) s Dq) p
+    if n == 0:
+        rhs = lucas(1).scale_s(-1)
+    elif n == 1:
+        rhs = lucas(2).scale_s(-1) + XSPoly.s() + XSPoly.s()
+    else:
+        rhs = lucas(n + 1).scale_s(-1) + lucas(n - 1).scale_s(-1).shift(0, 1)
+    yield lhs.terms, rhs.terms
 
 
-def _case_expand_47(ns: range) -> Iterator[Comparison]:
-    for n in ns:
-        lhs = big_hermite(n).scale_s(ONE_MINUS_Q)
-        yield n, lhs.terms, hermite_lucas_expand(n).terms
+def _case_expand_47(n: int) -> Iterator[Comparison]:
+    lhs = big_hermite(n).scale_s(ONE_MINUS_Q)
+    yield lhs.terms, hermite_lucas_expand(n).terms
 
 
-def _case_closed_414(ns: range) -> Iterator[Comparison]:
-    for n in ns:
-        rhs = {(n - 2 * l, l): QScalar(qweyl_binomial(n, l, l))
-               for l in range(n // 2 + 1)}
-        yield n, big_hermite(n).terms, rhs
+def _case_closed_414(n: int) -> Iterator[Comparison]:
+    rhs = {(n - 2 * l, l): QScalar(qweyl_binomial(n, l, l))
+           for l in range(n // 2 + 1)}
+    yield big_hermite(n).terms, rhs
 
 
-def _qweyl_pair_case(path_a: str, path_b: str) -> Callable[[range], Iterator[Comparison]]:
-    def case(ns: range) -> Iterator[Comparison]:
-        for n in ns:
-            lhs, rhs = {}, {}
-            for m, l in _triangle(n):
-                lhs[(m, l)] = QScalar(qweyl_binomial(n, m, l, path_a))
-                rhs[(m, l)] = QScalar(qweyl_binomial(n, m, l, path_b))
-            yield n, lhs, rhs
+def _qweyl_pair_case(path_a: str, path_b: str) -> Callable[[int], Iterator[Comparison]]:
+    def case(n: int) -> Iterator[Comparison]:
+        lhs, rhs = {}, {}
+        for m, l in _triangle(n):
+            lhs[(m, l)] = QScalar(qweyl_binomial(n, m, l, path_a))
+            rhs[(m, l)] = QScalar(qweyl_binomial(n, m, l, path_b))
+        yield lhs, rhs
     return case
 
 
-def _case_q1_collapse(ns: range) -> Iterator[Comparison]:
-    for n in ns:
-        lhs, rhs = {}, {}
-        for m, l in _triangle(n):
-            value = eval_q(QScalar(qweyl_binomial(n, m, l)), 1)
-            lhs[(m, l)] = QScalar.from_fraction(value)
-            rhs[(m, l)] = QScalar(weyl_binomial(n, m, l))
-        yield n, lhs, rhs
+def _case_q1_collapse(n: int) -> Iterator[Comparison]:
+    lhs, rhs = {}, {}
+    for m, l in _triangle(n):
+        value = eval_q(QScalar(qweyl_binomial(n, m, l)), 1)
+        lhs[(m, l)] = QScalar.from_fraction(value)
+        rhs[(m, l)] = QScalar(weyl_binomial(n, m, l))
+    yield lhs, rhs
 
 
 class _Case(NamedTuple):
-    check: Callable[[range], Iterator[Comparison]]  # checks each n of the range
+    check: Callable[[int], Iterator[Comparison]]  # the comparisons of one n
     n_max: int     # stated range
     start: int     # first n the case checks
     theorem: bool  # run through verify_theorem (uncapped), else verify_identity
@@ -316,19 +289,17 @@ def _run_case(case_id: str, n_max: int, fault_seed: Optional[int],
     if n_max < case.start:
         raise ValueError(f"case {case_id} starts at n = {case.start}, "
                          f"so n_max = {n_max} leaves it no n to check")
-    comparisons = list(case.check(range(case.start, n_max + 1)))
+    comparisons = [(n, lhs, rhs) for n in range(case.start, n_max + 1)
+                   for lhs, rhs in case.check(n)]
     if fault_seed is not None:
-        rng = random.Random(fault_seed)
         slots = [(i, key)
                  for i, (_n, _lhs, rhs) in enumerate(comparisons)
                  for key in sorted(rhs)]
         if not slots:
             raise ValueError(f"case {case_id} has no coefficients to perturb")
-        idx, key = rng.choice(slots)
+        idx, key = random.Random(fault_seed).choice(slots)
         n, lhs, rhs = comparisons[idx]
-        mutated = dict(rhs)
-        mutated[key] = -mutated[key]
-        comparisons[idx] = (n, lhs, mutated)
+        comparisons[idx] = (n, lhs, {**rhs, key: -rhs[key]})
     for n, lhs, rhs in comparisons:
         for key in sorted(set(lhs) | set(rhs)):
             lv = lhs.get(key, QSCALAR_ZERO)
@@ -358,6 +329,8 @@ def run_cases(case_ids: Optional[Iterable[str]] = None,
     """Run selected cases (default: all) at their stated ranges, capped at
     n_max when given.  Reports come back in a fixed case order; a case whose
     capped range holds no n is left out."""
+    if n_max is not None and n_max < 1:
+        raise ValueError("n_max must be positive")
     reports = []
     for case_id in ALL_CASE_IDS if case_ids is None else case_ids:
         case = CASES.get(case_id)

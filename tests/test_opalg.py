@@ -256,6 +256,17 @@ class TestScalars:
                                             "coef": {"num": [1], "den": [1]}}
         assert type(OpExpr.word("XD", 1, True).terms[0][1]) is int
 
+    def test_opexpr_sum_needs_opexpr(self):
+        # a non-OpExpr operand is refused with TypeError, as NormalOp does
+        word = OpExpr.word("X")
+        for bad in (5, QScalar(5), NormalOp.identity(TWIST_Q), "X"):
+            with pytest.raises(TypeError):
+                word + bad
+            with pytest.raises(TypeError):
+                bad + word
+        assert (word + OpExpr.word("D", 2)).terms == \
+            ((QScalar(1), 0, ("X",)), (QScalar(2), 0, ("D",)))
+
     def test_int_bool_and_intpoly_scalars(self):
         e = NormalOp.identity(TWIST_Q)
         p = IntPoly([1, 1])
