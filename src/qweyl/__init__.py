@@ -13,7 +13,6 @@ from .qarith import (
     NotPolynomial,
     PoleAtPoint,
     QScalar,
-    eval_q,
     gauss_binomial,
     q_factorial,
     q_integer,
@@ -23,7 +22,6 @@ from .qarith import (
 from .polyring import XSPoly
 from .opalg import (
     NormalOp,
-    OpExpr,
     TWIST_ONE,
     TWIST_Q,
     TwistMismatch,
@@ -60,11 +58,10 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "IntPoly", "QScalar", "XSPoly", "OpExpr", "NormalOp",
+    "IntPoly", "QScalar", "XSPoly", "NormalOp",
     "NotPolynomial", "PoleAtPoint", "TwistMismatch", "IndexOutOfRange",
     "TWIST_Q", "TWIST_ONE",
     "q_integer", "q_factorial", "gauss_binomial", "q_product", "to_polynomial",
-    "eval_q",
     "normal_order", "affine_factor", "product", "power",
     "hermite", "weyl_binomial", "h_poly", "apply_exp_q2", "g_coeff",
     "corollary2_coeff", "corollary3_coeff", "big_hermite", "lucas",

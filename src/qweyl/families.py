@@ -89,6 +89,8 @@ def operator_row(kind: str, n: int) -> NormalOp:
     composed with the n-th factor, on the side the kind names."""
     if n < 0:
         raise ValueError("operator_row requires n >= 0")
+    if kind not in OPERATORS:
+        raise ValueError(f"unknown kind {kind!r}; expected one of {tuple(OPERATORS)}")
     twist, c, left = OPERATORS[kind]
     if n == 0:
         return NormalOp.identity(twist)

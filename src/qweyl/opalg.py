@@ -13,10 +13,11 @@ There is one rewrite path.  The only memo table holds the rule's row, the
 normal form of D X^a, filled upward in a by the rule.  Composing A after B
 pushes D through B one power at a time, D^k B = D (D^(k-1) B), reading
 D X^a from that row, then sums c X^a s^m (D^b B) over the terms of A.
-A word is the composition of its letters, and a power the composition of
-its factors, so both go through the same product.  The result is
-independent of rewrite order (confluence); the test suite checks this
-against a naive rewriter that picks random positions.
+There is one operator type, NormalOp: normal_order(word, twist) composes
+the word's letters, a sum of words is the sum of their NormalOps, and a
+power is the composition of its factors, so all go through the same
+product.  The result is independent of rewrite order (confluence); the test
+suite checks this against a naive rewriter that picks random positions.
 
 NormalOp values are the ground truth ("oracle") that every closed-form
 coefficient formula in the families module is verified against.
@@ -24,11 +25,10 @@ coefficient formula in the families module is verified against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import index
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 from .polyring import XSPoly, _render_terms
 from .qarith import (
@@ -51,42 +51,6 @@ TWIST_ONE = QSCALAR_ONE
 
 class TwistMismatch(ValueError):
     """Operators from algebras with different commutation scalars were combined."""
-
-
-@dataclass(frozen=True)
-class OpExpr:
-    """Unreduced operator input: a formal sum of scalar-weighted words.
-
-    Each term is (coefficient, s power, word); the same word may repeat.
-    """
-
-    terms: tuple[tuple[QScalar, int, tuple[str, ...]], ...]
-
-    def __post_init__(self):
-        terms = []
-        for c, s_pow, word in self.terms:
-            s_pow = index(s_pow)
-            if s_pow < 0:
-                raise ValueError("s power must be nonnegative")
-            for letter in word:
-                if letter not in (X, D):
-                    raise ValueError(f"unknown generator {letter!r}")
-            terms.append((QScalar.of(c), s_pow, tuple(word)))
-        object.__setattr__(self, "terms", tuple(terms))
-
-    @classmethod
-    def word(cls, letters: Union[str, Sequence[str]], coef: Scalar = 1,
-             s_power: int = 0) -> "OpExpr":
-        return cls(((coef, s_power, letters),))
-
-    @classmethod
-    def from_terms(cls, terms: Iterable[tuple[Scalar, int, Sequence[str]]]) -> "OpExpr":
-        return cls(tuple(terms))
-
-    def __add__(self, other: "OpExpr") -> "OpExpr":
-        if not isinstance(other, OpExpr):
-            return NotImplemented
-        return OpExpr(self.terms + other.terms)
 
 
 # Normal forms of D X^a, the rule's row, memoized per twist in one flat dict
@@ -213,9 +177,11 @@ class NormalOp:
 
     def apply(self, p: XSPoly) -> XSPoly:
         """Act on a polynomial: X multiplies by x, D is the q-derivative,
-        s powers multiply by s^m.  The twist should be the symbolic q for
-        the action to respect composition; specialize afterwards for q = 1
-        checks."""
+        s powers multiply by s^m.  Only at the symbolic twist q does this
+        respect composition, so any other twist raises TwistMismatch;
+        specialize the result for q = 1 checks."""
+        if self.twist != TWIST_Q:
+            raise TwistMismatch("apply needs the twist q: D acts as the q-derivative")
         if not self.terms:
             return XSPoly.zero()
         max_b = max(b for _, b, _ in self.terms)
@@ -261,20 +227,22 @@ class NormalOp:
                              for (a, b, m), c in self.sorted_terms())
 
 
-def normal_order(e: OpExpr, twist: QScalar) -> NormalOp:
-    """Normal form of an unreduced expression: each word is the composition
-    of its letters, applied to coef * s^m, and like terms are collected."""
+def normal_order(word: Sequence[str], twist: QScalar, coef: Scalar = 1,
+                 s_power: int = 0) -> NormalOp:
+    """Normal form of coef * s^s_power * word: the composition of the word's
+    letters, right to left, applied to coef * s^s_power.  A sum of words is
+    the sum of their normal forms.
+
+    Raises ValueError for a letter other than X or D; the NormalOp
+    constructor checks the coefficient, twist and exponent."""
     letters = {X: NormalOp(twist, {(1, 0, 0): QSCALAR_ONE}),
                D: NormalOp(twist, {(0, 1, 0): QSCALAR_ONE})}
-    out: dict[Key, QScalar] = {}
-    for coef, s_pow, word in e.terms:
-        op = NormalOp(twist, {(0, 0, s_pow): coef})
-        for letter in reversed(word):
-            op = letters[letter] * op
-        for key, c in op.terms.items():
-            prev = out.get(key)
-            out[key] = c if prev is None else prev + c
-    return NormalOp(twist, out)
+    op = NormalOp(twist, {(0, 0, s_power): coef})
+    for letter in reversed(word):
+        if letter not in letters:
+            raise ValueError(f"unknown generator {letter!r}")
+        op = letters[letter] * op
+    return op
 
 
 def affine_factor(c: Scalar, twist: QScalar) -> NormalOp:

@@ -555,8 +555,3 @@ def to_polynomial(a: QScalar) -> IntPoly:
     if a.den != ONE:
         raise NotPolynomial(f"{a} is not a polynomial in q")
     return a.num
-
-
-def eval_q(a: Union[QScalar, IntPoly], r: Union[int, Fraction]) -> Fraction:
-    """Exact evaluation of a at q = r; raises PoleAtPoint on a vanishing denominator."""
-    return a.evaluate(r)

@@ -37,7 +37,7 @@ from .families import (
     weyl_binomial,
 )
 from .polyring import XSPoly
-from .qarith import QScalar, QSCALAR_ZERO, eval_q, gauss_binomial, q_integer, q_pow
+from .qarith import QScalar, QSCALAR_ZERO, gauss_binomial, q_integer, q_pow
 
 Comparison = tuple[Mapping, Mapping]  # (lhs term map, rhs term map)
 
@@ -230,7 +230,7 @@ def _qweyl_pair_case(path_a: str, path_b: str) -> Callable[[int], Iterator[Compa
 def _case_q1_collapse(n: int) -> Iterator[Comparison]:
     lhs, rhs = {}, {}
     for m, l in _triangle(n):
-        value = eval_q(QScalar(qweyl_binomial(n, m, l)), 1)
+        value = qweyl_binomial(n, m, l).evaluate(1)
         lhs[(m, l)] = QScalar.from_fraction(value)
         rhs[(m, l)] = QScalar(weyl_binomial(n, m, l))
     yield lhs, rhs

@@ -15,7 +15,7 @@ from qweyl.families import (
     weyl_binomial,
 )
 from qweyl.polyring import XSPoly
-from qweyl.qarith import IntPoly, QScalar, eval_q
+from qweyl.qarith import IntPoly, QScalar
 from qweyl.verify import verify_identity, verify_theorem
 
 ONE_MINUS_Q = IntPoly([1, -1])
@@ -62,7 +62,7 @@ def test_criterion_2_theorem1_corollary1():
     assert weyl_binomial(4, 2, 1) == 12
     # the same coefficient read off the specialized oracle: X s^2 D term of n=4
     coeff = _xsd_power(4).terms[(1, 1, 2)]
-    assert eval_q(coeff, 1) == 12
+    assert coeff.evaluate(1) == 12
     _report("criterion-2 theorem 1 / corollary 1, n<=10 at q=1",
             time.perf_counter() - t0, 5.0)
 

@@ -34,7 +34,6 @@ from qweyl.qarith import (
     ONE,
     QScalar,
     ZERO,
-    eval_q,
     gauss_binomial,
     q_integer,
     q_pow,
@@ -92,6 +91,10 @@ class TestOperators:
     def test_negative_index(self):
         with pytest.raises(ValueError):
             operator_row("qpower", -1)
+
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError, match="expected one of"):
+            operator_row("nope", 3)
 
 
 class TestReadOnlyTerms:
@@ -406,9 +409,37 @@ class TestQWeylBinomial:
         for n in range(9):
             for m in range(n + 1):
                 for l in range(min(m, n - m) + 1):
-                    value = eval_q(QScalar(qweyl_binomial(n, m, l)), 1)
+                    value = qweyl_binomial(n, m, l).evaluate(1)
                     assert value == weyl_binomial(n, m, l)
 
+
+
+class TestQZeroSpecialization:
+    """An oracle that shares no code with families: at q = 0 every {n m}_l
+    is the ballot number C(n,l) - C(n,l-1), its q-degree is
+    m(n-m) - C(l+1,2), and its leading coefficient is 1."""
+
+    @staticmethod
+    def check(n, m, l, value):
+        coeffs = value.coeffs
+        ballot = math.comb(n, l) - (math.comb(n, l - 1) if l else 0)
+        assert (coeffs[0], len(coeffs) - 1, coeffs[-1]) == \
+            (ballot, m * (n - m) - math.comb(l + 1, 2), 1), (n, m, l)
+
+    def test_every_path_and_the_engine_row(self):
+        for n in range(17):
+            row = operator_row("qpower", n).terms
+            for m in range(n + 1):
+                for l in range(min(m, n - m) + 1):
+                    self.check(n, m, l, to_polynomial(row[(m - l, n - m - l, n - m)]))
+                    for path in ("closed", "factored", "recurrence"):
+                        self.check(n, m, l, qweyl_binomial(n, m, l, path))
+
+    def test_recurrence_to_row_30(self):
+        for n in range(17, 31):
+            for m in range(n + 1):
+                for l in range(min(m, n - m) + 1):
+                    self.check(n, m, l, qweyl_binomial(n, m, l, "recurrence"))
 
 class TestMemoTablesUnderThreads:
     def test_concurrent_growth_matches_serial(self):

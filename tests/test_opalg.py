@@ -9,7 +9,6 @@ from qweyl import opalg
 from qweyl.opalg import (
     D,
     NormalOp,
-    OpExpr,
     TWIST_ONE,
     TWIST_Q,
     TwistMismatch,
@@ -50,26 +49,22 @@ def random_word(rng, max_len):
 
 
 def x_plus_sd_squared():
-    """(X+sD)^2 written out as an unreduced expression."""
-    return OpExpr.from_terms([
-        (1, 0, (X, X)),
-        (1, 1, (X, D)),
-        (1, 1, (D, X)),
-        (1, 2, (D, D)),
-    ])
+    """(X+sD)^2 written out as the sum of its four words."""
+    return (normal_order((X, X), TWIST_Q) + normal_order((X, D), TWIST_Q, 1, 1)
+            + normal_order((D, X), TWIST_Q, 1, 1) + normal_order((D, D), TWIST_Q, 1, 2))
 
 
 class TestNormalOrder:
     def test_single_commutation(self):
-        op = normal_order(OpExpr.word("DX"), TWIST_Q)
+        op = normal_order("DX", TWIST_Q)
         assert op.terms == {(1, 1, 0): TWIST_Q, (0, 0, 0): QSCALAR_ONE}
 
     def test_empty_word(self):
-        op = normal_order(OpExpr.word(""), TWIST_Q)
+        op = normal_order("", TWIST_Q)
         assert op == NormalOp.identity(TWIST_Q)
 
     def test_x_plus_sd_squared(self):
-        op = normal_order(x_plus_sd_squared(), TWIST_Q)
+        op = x_plus_sd_squared()
         assert op.terms == {
             (0, 2, 2): QSCALAR_ONE,
             (1, 1, 1): QScalar(IntPoly([1, 1])),
@@ -82,14 +77,19 @@ class TestNormalOrder:
         for twist in (TWIST_Q, TWIST_ONE):
             for _ in range(60):
                 word = random_word(rng, 8)
-                engine = normal_order(OpExpr.word(word), twist)
+                engine = normal_order(word, twist)
                 for _ in range(3):
                     naive = naive_normal_order(word, twist, rng)
                     assert {(a, b, 0): c for (a, b), c in naive.items()} == engine.terms
 
     def test_repeated_words_collect(self):
-        e = OpExpr.from_terms([(1, 0, (X,)), (2, 0, (X,))])
-        assert normal_order(e, TWIST_Q).terms == {(1, 0, 0): QScalar(3)}
+        e = normal_order((X,), TWIST_Q) + normal_order((X,), TWIST_Q, 2)
+        assert e.terms == {(1, 0, 0): QScalar(3)}
+
+    def test_unknown_letter_rejected(self):
+        for word in ("XY", "dX", ("X", "XD"), ("D", 1)):
+            with pytest.raises(ValueError, match="unknown generator"):
+                normal_order(word, TWIST_Q)
 
 
 class TestDeepWords:
@@ -103,7 +103,7 @@ class TestDeepWords:
         a = self.A
         opalg._D_POW_PAST_X.clear()
         with spare_frames(50):
-            op = normal_order(OpExpr.word("D" + "X" * a), TWIST_Q)
+            op = normal_order("D" + "X" * a, TWIST_Q)
         assert op.terms == {(a, 1, 0): q_pow(a), (a - 1, 0, 0): QScalar(q_integer(a))}
 
     def test_d_times_many_x(self, spare_frames):
@@ -118,7 +118,7 @@ class TestDeepWords:
         a = self.A
         opalg._D_POW_PAST_X.clear()
         with spare_frames(50):
-            op = normal_order(OpExpr.word("DDD" + "X" * a), TWIST_Q)
+            op = normal_order("DDD" + "X" * a, TWIST_Q)
         assert len(op.terms) == 4
         assert op.terms[(a, 3, 0)] == q_pow(3 * a)
         assert op.terms[(a - 3, 0, 0)] == QScalar(
@@ -188,7 +188,7 @@ class TestMul:
         for twist in (TWIST_Q, TWIST_ONE):
             for _ in range(60):
                 w1, w2 = random_word(rng, 6), random_word(rng, 6)
-                got = normal_order(OpExpr.word(w1), twist) * normal_order(OpExpr.word(w2), twist)
+                got = normal_order(w1, twist) * normal_order(w2, twist)
                 naive = naive_normal_order(w1 + w2, twist, rng)
                 assert got.terms == {(a, b, 0): c for (a, b), c in naive.items()}
 
@@ -225,9 +225,9 @@ class TestScalars:
         for call in (lambda: NormalOp(TWIST_Q, {(1, 0, 0): bad}), lambda: NormalOp(bad),
                      lambda: e.scale(bad),
                      lambda: e * bad, lambda: bad * e,
-                     lambda: OpExpr.word("X", bad),
-                     lambda: OpExpr.from_terms([(bad, 0, "X")]),
-                     lambda: OpExpr(((bad, 0, ("X",)),)),
+                     lambda: normal_order("X", TWIST_Q, bad),
+                     lambda: normal_order("", TWIST_Q, bad),
+                     lambda: normal_order("X", bad),
                      lambda: affine_factor(bad, TWIST_Q)):
             with pytest.raises(TypeError):
                 call()
@@ -246,7 +246,7 @@ class TestScalars:
             with pytest.raises(TypeError):
                 NormalOp(TWIST_Q, {(0, 0, e): 1})
             with pytest.raises(TypeError):
-                OpExpr.word("X", s_power=e)
+                normal_order("X", TWIST_Q, s_power=e)
 
     def test_exponents_stored_as_int(self):
         # a bool is an index, but the key and the wire format hold plain ints
@@ -254,26 +254,26 @@ class TestScalars:
         assert [type(e) for e in next(iter(op.terms))] == [int, int, int]
         assert op.to_json()["terms"][0] == {"x": 1, "d": 0, "s": 1,
                                             "coef": {"num": [1], "den": [1]}}
-        assert type(OpExpr.word("XD", 1, True).terms[0][1]) is int
+        assert [type(e) for e in next(iter(normal_order("XD", TWIST_Q, 1, True).terms))] \
+            == [int, int, int]
 
-    def test_opexpr_sum_needs_opexpr(self):
-        # a non-OpExpr operand is refused with TypeError, as NormalOp does
-        word = OpExpr.word("X")
-        for bad in (5, QScalar(5), NormalOp.identity(TWIST_Q), "X"):
+    def test_sum_needs_normalop(self):
+        # a scalar or a bare word is not an operator: the sum raises TypeError
+        word = normal_order("X", TWIST_Q)
+        for bad in (5, QScalar(5), "X"):
             with pytest.raises(TypeError):
                 word + bad
             with pytest.raises(TypeError):
                 bad + word
-        assert (word + OpExpr.word("D", 2)).terms == \
-            ((QScalar(1), 0, ("X",)), (QScalar(2), 0, ("D",)))
+        assert (word + normal_order("D", TWIST_Q, 2)).terms == \
+            {(1, 0, 0): QScalar(1), (0, 1, 0): QScalar(2)}
 
     def test_int_bool_and_intpoly_scalars(self):
         e = NormalOp.identity(TWIST_Q)
         p = IntPoly([1, 1])
         assert p * e == e * p == e.scale(p) == NormalOp(TWIST_Q, {(0, 0, 0): p})
         assert e.scale(True) == True * e == e
-        assert normal_order(OpExpr.word("DX", True), TWIST_Q) == \
-            normal_order(OpExpr.from_terms([(1, 0, "DX")]), TWIST_Q)
+        assert normal_order("DX", TWIST_Q, True) == normal_order("DX", TWIST_Q, 1)
 
 
 class TestProduct:
@@ -310,7 +310,7 @@ class TestPower:
 
     def test_square_matches_unreduced_expression(self):
         base = affine_factor(1, TWIST_Q)
-        assert power(base, 2) == normal_order(x_plus_sd_squared(), TWIST_Q)
+        assert power(base, 2) == x_plus_sd_squared()
 
     def test_cube(self):
         got = power(affine_factor(1, TWIST_Q), 3)
@@ -350,6 +350,14 @@ class TestApply:
         op = power(affine_factor(1, TWIST_Q), 2)
         p1, p2 = XSPoly.x(3), XSPoly.monomial(1, 2, 5)
         assert op.apply(p1 + p2) == op.apply(p1) + op.apply(p2)
+
+    def test_twist_other_than_q_refused(self):
+        # D acts as the q-derivative, so at twist 1 apply would not respect
+        # composition: (a*a).apply(x^2) and a.apply(a.apply(x^2)) differ
+        a = affine_factor(1, TWIST_ONE)
+        for op in (a, a * a, NormalOp.identity(TWIST_ONE), NormalOp(TWIST_ONE, {})):
+            with pytest.raises(TwistMismatch):
+                op.apply(XSPoly.x(2))
 
 
 class TestSpecialize:

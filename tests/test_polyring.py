@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qweyl.polyring import XSPoly
-from qweyl.qarith import IntPoly, QScalar, eval_q, q_integer
+from qweyl.qarith import IntPoly, QScalar, q_integer
 
 
 def specialize_q1(p: XSPoly) -> dict:
     """Map each coefficient to its exact value at q = 1."""
-    return {k: eval_q(c, 1) for k, c in p.terms.items() if eval_q(c, 1) != 0}
+    return {k: c.evaluate(1) for k, c in p.terms.items() if c.evaluate(1) != 0}
 
 
 terms_strategy = st.dictionaries(

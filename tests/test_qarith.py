@@ -18,7 +18,6 @@ from qweyl.qarith import (
     ZERO,
     _q_even,
     _q_odd_double,
-    eval_q,
     gauss_binomial,
     poly_gcd,
     q_factorial,
@@ -78,7 +77,7 @@ class TestIntPoly:
             with pytest.raises(TypeError):
                 IntPoly([1, 1]).evaluate(point)
             with pytest.raises(TypeError):
-                eval_q(QScalar(IntPoly([1, 1]), IntPoly([1, -1])), point)
+                QScalar(IntPoly([1, 1]), IntPoly([1, -1])).evaluate(point)
 
     @pytest.mark.parametrize("bad", INEXACT)
     def test_inexact_coefficient_rejected(self, bad):
@@ -446,15 +445,17 @@ class TestToPolynomial:
 
 
 class TestEvalQ:
+    """Exact evaluation of a q-scalar at a rational point q = r."""
+
     def test_examples(self):
-        assert eval_q(QScalar(IntPoly([1, 1, 1])), 1) == 3
+        assert QScalar(IntPoly([1, 1, 1])).evaluate(1) == 3
         with pytest.raises(PoleAtPoint):
-            eval_q(QScalar(IntPoly([1, 1]), IntPoly([1, -1])), 1)
-        assert eval_q(QScalar(IntPoly([3, 5, 3, 1])), 1) == 12
+            QScalar(IntPoly([1, 1]), IntPoly([1, -1])).evaluate(1)
+        assert QScalar(IntPoly([3, 5, 3, 1])).evaluate(1) == 12
 
     def test_rational_point(self):
         a = QScalar(IntPoly([0, 1]), IntPoly([1, 1]))  # q/(1+q)
-        assert eval_q(a, Fraction(1, 2)) == Fraction(1, 3)
+        assert a.evaluate(Fraction(1, 2)) == Fraction(1, 3)
 
 
 class TestSerialization:
