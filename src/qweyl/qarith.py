@@ -152,6 +152,12 @@ class IntPoly:
         if len(a) == 1:
             ca = a[0]
             body = b if ca == 1 else tuple(ca * cb for cb in b)
+        # a q-integer operand [L] = (1-q^L)/(1-q) multiplies the other in one
+        # shift-subtract pass and one running-sum pass
+        elif a.count(1) == len(a):
+            return q_product([(len(a), 1), (1, -1)], va + vb, base=IntPoly._raw(b))
+        elif b.count(1) == len(b):
+            return q_product([(len(b), 1), (1, -1)], va + vb, base=IntPoly._raw(a))
         else:
             out = [0] * (len(a) + len(b) - 1)
             for i, ca in enumerate(a):
@@ -180,11 +186,12 @@ class IntPoly:
 
     def evaluate(self, r: Union[int, Fraction]) -> Fraction:
         """Exact value at q = r (Horner)."""
+        # at an int point the sum stays in the ints until the end
         r = _rational(r)
-        acc = Fraction(0)
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * r + c
-        return acc
+        return Fraction(acc)
 
     def content(self) -> int:
         """Nonnegative gcd of the coefficients; 0 for the zero polynomial."""
@@ -201,24 +208,31 @@ class IntPoly:
         return f"IntPoly({list(self.coeffs)!r})"
 
     def __str__(self) -> str:
-        out = []
-        for i, c in enumerate(self.coeffs):
-            if c:
-                if c < 0:
-                    out.append("-")
-                    c = -c
-                elif out:
-                    out.append("+")
-                if c != 1 or not i:
-                    out.append(str(c))
-                if i:
-                    out.append("q" if i == 1 else f"q^{i}")
-        return "".join(out) or "0"
+        # one f-string per nonzero term; a coefficient +-1 shows only its
+        # sign, except at q^0
+        coeffs = self.coeffs
+        text = "".join([f"+{c}{s}" if c > 1 else f"{c}{s}" if c < -1
+                        else f"{'+' if c > 0 else '-'}{s or 1}"
+                        for c, s in zip(coeffs, _q_suffixes(len(coeffs))) if c])
+        return text.removeprefix("+") or "0"
 
 
 ZERO = IntPoly()
 ONE = IntPoly((1,))
 Q = IntPoly((0, 1))
+
+# The suffix of q^i at index i ("", "q", "q^2", ...).  It is rebound to a
+# longer tuple, never appended to, so every thread reads a complete table.
+_Q_SUFFIXES: tuple[str, ...] = ("", "q")
+
+
+def _q_suffixes(n: int) -> tuple[str, ...]:
+    """The suffix table, at least n entries long."""
+    global _Q_SUFFIXES
+    table = _Q_SUFFIXES
+    if len(table) < n:
+        table = _Q_SUFFIXES = table + tuple(f"q^{i}" for i in range(len(table), n))
+    return table
 
 
 def _rational(r: Union[int, Fraction]) -> Union[int, Fraction]:
@@ -263,7 +277,8 @@ def _pseudo_rem(a: IntPoly, b: IntPoly) -> IntPoly:
     db, lb = b.degree, b.lead
     while len(r) - 1 >= db and r:
         lr = r[-1]
-        r = [lb * c for c in r]
+        if lb != 1:
+            r = [lb * c for c in r]
         dr = len(r) - 1
         for j, bc in enumerate(b.coeffs):
             r[dr - db + j] -= lr * bc
@@ -479,7 +494,7 @@ def q_product(factors: Iterable[tuple[int, int]], shift: int = 0,
     for k, e in net.items():
         for _ in range(e):
             pad = [0] * k
-            c = [a - b for a, b in zip(c + pad, pad + c)]
+            c = list(map(operator.sub, c + pad, pad + c))
     for k, e in net.items():
         for _ in range(-e):
             for r in range(k):
@@ -488,7 +503,8 @@ def q_product(factors: Iterable[tuple[int, int]], shift: int = 0,
                 raise NotPolynomial(f"({base}) * prod (1-q^k)^e over (k, e) in "
                                     f"{sorted(net.items())} is not a polynomial in q")
             del c[-k:]
-    return IntPoly([0] * shift + c)
+    # the leading coefficient is +-lead(base), or an exact quotient's: nonzero
+    return IntPoly._raw((0,) * shift + tuple(c))
 
 
 # The q-blocks as factor lists for q_product: each block is a product of
@@ -536,14 +552,23 @@ def q_factorial(n: int) -> IntPoly:
 def gauss_binomial(n: int, k: int) -> IntPoly:
     """Gaussian binomial [n k] = [n]!/([k]![n-k]!); 0 when k < 0 or k > n.
 
-    Computed by q_product from the factor lists of the three q-factorials,
-    with no gcd; memoized per (n, k).
+    Stepped along the row, [n k] = [n k-1] (1-q^(n-k+1))/(1-q^k), by
+    q_product with no gcd, for k <= n/2; the row is symmetric, [n k] =
+    [n n-k].  Memoized per (n, k).
     """
     if n < 0:
         raise ValueError("gauss_binomial requires n >= 0")
     if k < 0 or k > n:
         return ZERO
-    return q_product(_q_binom(n, k))
+    if k == 0:
+        return ONE
+    if 2 * k > n:
+        return gauss_binomial(n, n - k)
+    # Fill the cache upward first, so that no call recurses more than two
+    # deep, however large k is.
+    for i in range(1, k - 1):
+        gauss_binomial(n, i)
+    return q_product([(n - k + 1, 1), (k, -1)], base=gauss_binomial(n, k - 1))
 
 
 def to_polynomial(a: QScalar) -> IntPoly:

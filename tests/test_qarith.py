@@ -1,11 +1,14 @@
 """Exact Z[q] arithmetic and the q-combinatorial building blocks."""
 
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from qweyl import qarith
 from qweyl.families import _triangle, corollary2_coeff, corollary3_coeff, g_coeff
 from qweyl.polyring import XSPoly
 from qweyl.qarith import (
@@ -16,6 +19,7 @@ from qweyl.qarith import (
     QScalar,
     ONE,
     ZERO,
+    _pseudo_rem,
     _q_even,
     _q_odd_double,
     gauss_binomial,
@@ -46,8 +50,31 @@ def gauss_by_factorials(n, k):
     return to_polynomial(ratio)
 
 
+def divide_by_one_minus_q_power(p, i):
+    """p / (1-q^i) by long division from the top; the division must be exact."""
+    rem = list(p.coeffs)
+    quot = [0] * (len(rem) - i)
+    for j in reversed(range(len(quot))):
+        # subtracting quot[j] q^j (1-q^i) clears degree j+i
+        quot[j] = -rem[j + i]
+        rem[j] -= quot[j]
+        rem[j + i] = 0
+    assert not any(rem)
+    return IntPoly(quot)
+
+
+def gauss_by_product(n, k):
+    """[n k] = prod_(i=1..k) (1-q^(n-k+i))/(1-q^i): the numerator multiplied
+    out, then divided by each factor of the denominator."""
+    value = math.prod((ONE - IntPoly.q_power(n - k + i) for i in range(1, k + 1)), start=ONE)
+    for i in range(1, k + 1):
+        value = divide_by_one_minus_q_power(value, i)
+    return value
+
+
 # Inexact scalars: every entry point must raise TypeError on each.
 INEXACT = (1.5, Fraction(1, 2), "1")
+BIG = 2 ** 200
 
 small_polys = st.lists(st.integers(-20, 20), max_size=6).map(IntPoly)
 nonzero_polys = small_polys.filter(lambda p: not p.is_zero())
@@ -110,6 +137,142 @@ class TestIntPoly:
         assert QScalar(b, g).den == ONE
 
 
+def horner(p, r):
+    """Reference evaluation: Horner's rule in Fraction arithmetic throughout."""
+    acc = Fraction(0)
+    for c in reversed(p.coeffs):
+        acc = acc * r + c
+    return acc
+
+
+BIG_POINT = 10 ** 30
+points = st.one_of(
+    st.sampled_from([0, 1, -1, BIG_POINT, -BIG_POINT, Fraction(0), Fraction(-1),
+                     Fraction(1, 2), Fraction(-BIG_POINT, 3)]),
+    st.integers(-BIG_POINT, BIG_POINT),
+    st.fractions(max_denominator=10 ** 6),
+)
+
+
+class TestEvaluate:
+    """IntPoly.evaluate against Horner in Fraction arithmetic."""
+
+    @given(st.lists(st.integers(-2 ** 80, 2 ** 80), max_size=12).map(IntPoly), points)
+    def test_matches_fraction_horner(self, p, r):
+        value = p.evaluate(r)
+        assert type(value) is Fraction
+        assert value == horner(p, r)
+
+    def test_int_point_examples(self):
+        p = IntPoly([3, 0, -2, 1])
+        for r in (0, 1, -1, 7, -BIG_POINT):
+            assert p.evaluate(r) == Fraction(3 - 2 * r * r + r ** 3)
+        assert type(ZERO.evaluate(5)) is Fraction
+        assert ZERO.evaluate(Fraction(1, 3)) == 0
+
+    def test_pole_at_int_point(self):
+        a = QScalar(IntPoly([0, 1]), IntPoly([-4, 0, 1]))  # q/(q^2-4)
+        assert a.evaluate(3) == Fraction(3, 5)
+        with pytest.raises(PoleAtPoint):
+            a.evaluate(-2)
+
+
+def render_reference(coeffs):
+    """The term-by-term renderer: sign, then the magnitude unless it is 1
+    on a q power, then the q power."""
+    out = []
+    for i, c in enumerate(coeffs):
+        if c:
+            if c < 0:
+                out.append("-")
+                c = -c
+            elif out:
+                out.append("+")
+            if c != 1 or not i:
+                out.append(str(c))
+            if i:
+                out.append("q" if i == 1 else f"q^{i}")
+    return "".join(out) or "0"
+
+
+render_coeffs = st.one_of(st.sampled_from([-2, -1, 0, 0, 1, 2]), st.integers(-BIG, BIG))
+
+
+class TestRender:
+    """IntPoly.__str__ against the term-by-term reference renderer."""
+
+    @given(st.lists(render_coeffs, max_size=40))
+    def test_matches_reference(self, coeffs):
+        assert str(IntPoly(coeffs)) == render_reference(IntPoly(coeffs).coeffs)
+
+    @settings(max_examples=20)
+    @given(st.lists(st.sampled_from([-1, 0, 1, 5]), min_size=301, max_size=320))
+    def test_long_polynomials(self, coeffs):
+        assert str(IntPoly(coeffs)) == render_reference(IntPoly(coeffs).coeffs)
+
+    def test_units_and_signs(self):
+        for coeffs in ([1], [-1], [1, 1], [-1, -1], [1, -1], [-1, 1], [0, 1], [0, -1],
+                       [-3, 0, 0, 1], [0, 0, 0, -1, 0, 0, 1], [-BIG, 1, -1, BIG]):
+            assert str(IntPoly(coeffs)) == render_reference(coeffs)
+
+    def test_threads_render_from_a_reset_suffix_table(self, monkeypatch):
+        # eight threads extend the suffix table at once; every rendering
+        # must still be the serial one
+        p = IntPoly([(-1) ** i * (i % 4) for i in range(1, 501)])
+        expected = render_reference(p.coeffs)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                monkeypatch.setattr(qarith, "_Q_SUFFIXES", qarith._Q_SUFFIXES[:2])
+                barrier = threading.Barrier(8)
+                results = []
+
+                def render():
+                    barrier.wait(timeout=10)
+                    results.append(str(p))
+
+                threads = [threading.Thread(target=render) for _ in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+                assert not any(t.is_alive() for t in threads)
+                assert results == [expected] * 8
+        finally:
+            sys.setswitchinterval(interval)
+
+
+def pseudo_rem_reference(a, b):
+    """Pseudo-remainder with the whole remainder rescaled by lead(b) at
+    every step."""
+    r = list(a.coeffs)
+    db, lb = b.degree, b.lead
+    while len(r) - 1 >= db and r:
+        lr = r[-1]
+        r = [lb * c for c in r]
+        dr = len(r) - 1
+        for j, bc in enumerate(b.coeffs):
+            r[dr - db + j] -= lr * bc
+        while r and r[-1] == 0:
+            r.pop()
+    return IntPoly(r)
+
+
+class TestPseudoRemainder:
+    @given(st.lists(st.integers(-50, 50), max_size=12).map(IntPoly),
+           st.lists(st.integers(-50, 50), max_size=6), st.sampled_from([1, 1, 2, 3, -1, 7]))
+    def test_matches_rescaling_reference(self, a, tail, lead):
+        b = IntPoly(tail + [lead])
+        assert _pseudo_rem(a, b) == pseudo_rem_reference(a, b)
+
+    def test_examples(self):
+        monic = IntPoly([1, 0, 1])  # 1+q^2
+        for a in (IntPoly([1, 2, 3, 4, 5]), IntPoly([BIG, -1, 0, 3]), ZERO, ONE):
+            for b in (monic, IntPoly([1, 3]), IntPoly([-2, 0, 5]), IntPoly([4])):
+                assert _pseudo_rem(a, b) == pseudo_rem_reference(a, b)
+
+
 def double_loop_product(a, b):
     """Reference multiply: every pair of coefficients, zeros included."""
     out = [0] * (len(a.coeffs) + len(b.coeffs))
@@ -120,8 +283,6 @@ def double_loop_product(a, b):
         out.pop()
     return tuple(out)
 
-
-BIG = 2 ** 200
 mul_coeffs = st.one_of(st.integers(-3, 3), st.integers(-BIG, BIG))
 # a run of low-end zeros, then arbitrary coefficients
 mul_polys = st.builds(lambda zeros, tail: IntPoly([0] * zeros + tail),
@@ -170,6 +331,19 @@ class TestMultiply:
         for _ in range(n):
             expected = IntPoly(double_loop_product(expected, p))
         assert (p ** n).coeffs == expected.coeffs
+
+    @given(st.integers(2, 60), st.integers(0, 5), mul_polys)
+    def test_q_integer_operand(self, length, shift, p):
+        # q^v [L] times anything, in both operand orders
+        self.check(IntPoly([0] * shift + [1] * length), p)
+
+    def test_q_integer_cases(self):
+        big = IntPoly([BIG, -3, 0, -BIG - 1, 5])
+        for length in (2, 3, 7, 40):
+            for other in (q_integer(2), q_integer(length), IntPoly([0] * 3 + [1] * 9),
+                          big, -big, IntPoly([-1, -1, -1]), IntPoly([1, 1, 0, 1]),
+                          IntPoly.q_power(7), IntPoly([0] * 4 + [-BIG]), IntPoly([3])):
+                self.check(q_integer(length), other)
 
     def test_power_examples(self):
         for p in MUL_CASES:
@@ -296,6 +470,21 @@ class TestGaussBinomial:
                 if n > 0:
                     assert g == gauss_binomial(n - 1, k - 1) + \
                         IntPoly.q_power(k) * gauss_binomial(n - 1, k)
+
+    def test_against_product_formula(self):
+        for n in range(30):
+            for k in range(n + 1):
+                assert gauss_binomial(n, k) == gauss_by_product(n, k)
+
+    def test_cold_fill_needs_no_deep_recursion(self, spare_frames):
+        # the row is filled upward in k, so a cold [300 150] fits in 50 frames
+        gauss_binomial.cache_clear()
+        try:
+            with spare_frames(50):
+                value = gauss_binomial(300, 150)
+            assert value.evaluate(1) == math.comb(300, 150)
+        finally:
+            gauss_binomial.cache_clear()
 
     def test_against_factorial_quotient_oracle(self):
         for n in range(13):
