@@ -8,16 +8,21 @@ verification harness cross-checks them against the rewriting engine, which
 is the ground truth.  The closed forms of h_n, g_n(k) and Corollaries 2 and
 3, and the 1/(1-q)^l prefactor of the closed q-Weyl sum, are products and
 quotients of factors (1-q^k), written with qarith's q-block factor lists, so
-they run through qarith.q_product with no gcd.  Two divisions stay in the
+they run through qarith.q_product with no gcd.  g_n(k) and the corollaries
+are stepped in j: a closed start value, then each term is the one before
+times a short ratio of q-blocks, a few passes each.  The corollaries are
+stepped as columns over j, which live for one call; the start values are
+q_products too, so none of this adds to a memo.  Two things stay in the
 QScalar field.  apply_exp_q2 builds its coefficients there, so exp-2.6
-checks h_n against a different formula in a different arithmetic.  The Lucas
-bracket ratio [n+k]/[n+k-j] is reduced there and converted with
-to_polynomial: its gcd is the one bench/test_bench.py expects a `family`
-request to run, so moving it to q_product waits for a benchmark change.
-Either way an inexact division raises NotPolynomial, so a transcription slip
-surfaces as an error instead of a silently wrong value.  lucas_k is the one
-memo of Lucas coefficients, and the closed q-Weyl sum reads it, so each
-coefficient is computed once per process.
+checks h_n against a different formula in a different arithmetic.  In
+lucas_k, the bracket ratio [n+k]/[n+k-j] is the only field reduction left:
+its gcd is the one bench/test_bench.py expects a `family` request to run, so
+moving it to q_product waits for a benchmark change.  The rest of each Lucas
+term is a q_product divided exactly by the ratio's denominator.  Either way
+an inexact division raises NotPolynomial, at the step where it fails, so a
+transcription slip surfaces as an error instead of a silently wrong value.
+lucas_k is the one memo of Lucas coefficients, and the closed q-Weyl sum
+reads it, so each coefficient is computed once per process.
 
 operator_row(kind, n) memoizes the operators of OPERATORS with lru_cache,
 per (kind, n), and fills upward: row n is built once, by one composition
@@ -43,16 +48,16 @@ from .qarith import (
     QScalar,
     QSCALAR_ONE,
     ZERO,
+    _divexact,
     _one_plus_q,
     _q_binom,
     _q_even,
     _q_fact,
-    _q_odd_double,
+    _q_int,
     gauss_binomial,
     q_integer,
     q_pow,
     q_product,
-    to_polynomial,
 )
 
 ONE_MINUS_Q = IntPoly([1, -1])
@@ -171,6 +176,14 @@ def apply_exp_q2(p: XSPoly) -> XSPoly:
     return result
 
 
+def _g_start(n: int, k: int) -> IntPoly:
+    """Term j = 0 of g_n(k), q^C(k,2) [n k] (1+q^(n-k+1))...(1+q^n) /
+    ((1+q)...(1+q^k)), which is also Corollary 2's entry j = 0 at k = n-m.
+    Since (1-q^i)(1+q^i) = 1-q^(2i), it is q^C(k,2) times [n k] at q^2,
+    built by q_product, not read from a memo."""
+    return q_product([(2 * i, e) for i, e in _q_binom(n, k)], math.comb(k, 2))
+
+
 def g_coeff(n: int, k: int) -> XSPoly:
     """Coefficient polynomial g_n(k, x, s) of s^k D^k in the descending-power
     product (X + q^(n-1) s D)...(X + s D):
@@ -178,16 +191,34 @@ def g_coeff(n: int, k: int) -> XSPoly:
     [n k] sum_j s^j q^(j^2+kj+C(k,2)) [n-k 2j] [2j-1]!!
           prod_(i=0..k-1) (1+q^(n-j-i))/(1+q^(j+1+i)) x^(n-k-2j).
 
+    Stepped in j from term 0, q^C(k,2) [n k] at q^2 (see _g_start):
+    term j+1 is term j times q^(2j+1+k) [n-k-2j] [n-k-2j-1] / [2j+2]
+      * (1+q^(j+1)) (1+q^(n-j-k)) / ((1+q^(j+k+1)) (1+q^(n-j))).
     Reduces to h_n at k = 0."""
     if n < 0 or k < 0 or k > n:
         raise IndexOutOfRange(f"need 0 <= k <= n, got (n,k)=({n},{k})")
-    terms = {}
-    for j in range((n - k) // 2 + 1):
-        factors = _q_binom(n, k) + _q_binom(n - k, 2 * j) + _q_odd_double(j)
-        for i in range(k):
-            factors += _one_plus_q(n - j - i) + _one_plus_q(j + 1 + i, -1)
-        terms[(n - k - 2 * j, j)] = q_product(factors, j * j + k * j + math.comb(k, 2))
+    c = _g_start(n, k)
+    terms = {(n - k, 0): c}
+    for j in range((n - k) // 2):
+        ratio = _q_int(n - k - 2 * j) + _q_int(n - k - 2 * j - 1) + _q_int(2 * j + 2, -1) \
+            + _one_plus_q(j + 1) + _one_plus_q(n - j - k) \
+            + _one_plus_q(j + k + 1, -1) + _one_plus_q(n - j, -1)
+        c = q_product(ratio, 2 * j + 1 + k, base=c)
+        terms[(n - k - 2 * j - 2, j + 1)] = c
     return XSPoly(terms)
+
+
+def _corollary2_column(n: int, m: int, top: int) -> list[IntPoly]:
+    """corollary2_coeff(n, m, j) for j = 0..top, top <= min(m, n-m), stepped
+    in j from entry 0, q^C(n-m,2) [n m] at q^2 (see _g_start): entry j+1
+    is entry j times q^(j+1) [m-j] [n-m-j] / ((1+q^(n-j)) [j+1])."""
+    c = _g_start(n, n - m)
+    column = [c]
+    for j in range(top):
+        ratio = _q_int(m - j) + _q_int(n - m - j) + _q_int(j + 1, -1) + _one_plus_q(n - j, -1)
+        c = q_product(ratio, j + 1, base=c)
+        column.append(c)
+    return column
 
 
 def corollary2_coeff(n: int, m: int, j: int) -> QScalar:
@@ -195,24 +226,39 @@ def corollary2_coeff(n: int, m: int, j: int) -> QScalar:
     descending-power product, in fully expanded form:
 
     q^(C(j+1,2)+C(n-m,2)) (1+q^(m+1))...(1+q^(n-j)) [n]!
-      / ((1+q)...(1+q^(n-m)) [j]! [m-j]! [n-m-j]!)."""
+      / ((1+q)...(1+q^(n-m)) [j]! [m-j]! [n-m-j]!).
+
+    Read from the column over j, stepped from j = 0."""
     if n < 0 or j < 0 or j > min(m, n - m):
         raise IndexOutOfRange(f"need 0 <= j <= min(m, n-m), got (n,m,j)=({n},{m},{j})")
-    factors = _q_even(n - j) + _q_even(m, -1) + _q_fact(n) + _q_even(n - m, -1) \
-        + _q_fact(j, -1) + _q_fact(m - j, -1) + _q_fact(n - m - j, -1)
-    return QScalar(q_product(factors, math.comb(j + 1, 2) + math.comb(n - m, 2)))
+    return QScalar(_corollary2_column(n, m, j)[j])
+
+
+def _corollary3_column(n: int, m: int, top: int) -> list[IntPoly]:
+    """corollary3_coeff(n, m, j) for j = 0..top, top <= min(m, n-m).  The
+    power of q is not monotone in j, so the rest is stepped alone, from
+    u_0 = [n m]:
+    u_j = u_(j-1) [m-j+1] [n-m-j+1] / ((1+q^j) [j]), and entry j is
+    q^(n^2+j^2-(m+j)n) u_j."""
+    u, column = q_product(_q_binom(n, m)), []
+    for j in range(top + 1):
+        if j:
+            u = q_product(_q_int(m - j + 1) + _q_int(n - m - j + 1) + _q_int(j, -1)
+                          + _one_plus_q(j, -1), base=u)
+        column.append(IntPoly.q_power(n * n + j * j - (m + j) * n) * u)
+    return column
 
 
 def corollary3_coeff(n: int, m: int, j: int) -> QScalar:
     """Coefficient of X^(m-j) D^(n-m-j) (with weight s^(n-m)) in the
     odd-power product (X+qsD)(X+q^3 sD)...(X+q^(2n-1) sD):
 
-    q^(n^2+j^2-(m+j)n) [n]! / ((1+q)...(1+q^j) [j]! [m-j]! [n-m-j]!)."""
+    q^(n^2+j^2-(m+j)n) [n]! / ((1+q)...(1+q^j) [j]! [m-j]! [n-m-j]!).
+
+    Read from the column over j, stepped from j = 0."""
     if n < 0 or j < 0 or j > min(m, n - m):
         raise IndexOutOfRange(f"need 0 <= j <= min(m, n-m), got (n,m,j)=({n},{m},{j})")
-    factors = _q_fact(n) + _q_even(j, -1) + _q_fact(j, -1) + _q_fact(m - j, -1) \
-        + _q_fact(n - m - j, -1)
-    return QScalar(q_product(factors, n * n + j * j - (m + j) * n))
+    return QScalar(_corollary3_column(n, m, j)[j])
 
 
 @lru_cache(maxsize=None)
@@ -242,18 +288,20 @@ def lucas(n: int) -> XSPoly:
 def lucas_k(n: int, k: int) -> XSPoly:
     """Generalized q-Lucas polynomial L_n^(k):
     sum_j q^(C(j,2)) ([n+k]/[n+k-j]) [n+k-j k] [n-j j] s^j x^(n-2j),
-    with L_0^(k) = 1 (the formal 0/0 at n = k = 0).  The bracket ratio is
-    reduced in the QScalar field and made exact by to_polynomial.
-    lucas_k(n, 0) is lucas(n)."""
+    with L_0^(k) = 1 (the formal 0/0 at n = k = 0).  Only the bracket ratio
+    is reduced in the QScalar field; its numerator times the two Gaussian
+    binomials is divided exactly by its denominator, and an inexact
+    division raises NotPolynomial.  lucas_k(n, 0) is lucas(n)."""
     if n < 0 or k < 0:
         raise ValueError("lucas_k requires n, k >= 0")
     if n == 0:
         return XSPoly.one()
     terms = {}
     for j in range(n // 2 + 1):
-        ratio = QScalar(q_integer(n + k), q_integer(n + k - j)) \
-            * gauss_binomial(n + k - j, k) * gauss_binomial(n - j, j)
-        terms[(n - 2 * j, j)] = IntPoly.q_power(math.comb(j, 2)) * to_polynomial(ratio)
+        ratio = QScalar(q_integer(n + k), q_integer(n + k - j))
+        num = q_product(_q_binom(n - j, j), math.comb(j, 2),
+                        base=ratio.num * gauss_binomial(n + k - j, k))
+        terms[(n - 2 * j, j)] = _divexact(num, ratio.den)
     return XSPoly(terms)
 
 

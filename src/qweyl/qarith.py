@@ -154,9 +154,9 @@ class IntPoly:
             body = b if ca == 1 else tuple(ca * cb for cb in b)
         # a q-integer operand [L] = (1-q^L)/(1-q) multiplies the other in one
         # shift-subtract pass and one running-sum pass
-        elif a.count(1) == len(a):
+        elif _is_q_integer(a):
             return q_product([(len(a), 1), (1, -1)], va + vb, base=IntPoly._raw(b))
-        elif b.count(1) == len(b):
+        elif _is_q_integer(b):
             return q_product([(len(b), 1), (1, -1)], va + vb, base=IntPoly._raw(a))
         else:
             out = [0] * (len(a) + len(b) - 1)
@@ -195,10 +195,7 @@ class IntPoly:
 
     def content(self) -> int:
         """Nonnegative gcd of the coefficients; 0 for the zero polynomial."""
-        g = 0
-        for c in self.coeffs:
-            g = math.gcd(g, c)
-        return g
+        return math.gcd(*self.coeffs)
 
     def to_list(self) -> list[int]:
         """Ascending coefficient list, the wire format."""
@@ -242,14 +239,23 @@ def _rational(r: Union[int, Fraction]) -> Union[int, Fraction]:
     return r
 
 
+def _is_q_integer(coeffs: tuple[int, ...]) -> bool:
+    """The coefficients are those of [L] = 1 + q + ... + q^(L-1), L >= 1."""
+    return coeffs.count(1) == len(coeffs) > 0
+
+
 def _divexact(a: IntPoly, b: IntPoly) -> IntPoly:
     """Quotient a/b when b divides a in Z[q]; raises NotPolynomial otherwise.
 
-    Top-down synthetic division: when the true quotient lies in Z[q], every
-    step's leading-coefficient ratio is one of its (integer) coefficients.
+    By a q-integer [L] = (1-q^L)/(1-q), it is a (1-q)/(1-q^L), one
+    q_product pass each way, and a itself when L = 1.  Otherwise, top-down
+    synthetic division: when the true quotient lies in Z[q], every step's
+    leading-coefficient ratio is one of its (integer) coefficients.
     """
     if b.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
+    if _is_q_integer(b.coeffs):
+        return q_product([(1, 1), (len(b.coeffs), -1)], base=a)
     if a.is_zero():
         return ZERO
     if a.degree < b.degree:
@@ -272,7 +278,17 @@ def _divexact(a: IntPoly, b: IntPoly) -> IntPoly:
 
 
 def _pseudo_rem(a: IntPoly, b: IntPoly) -> IntPoly:
-    """Pseudo-remainder of a by b (b nonzero): stays in Z[q]."""
+    """Pseudo-remainder of a by b (b nonzero): stays in Z[q].
+
+    By a q-integer [L], which is monic, it is the remainder itself: q^L is
+    1 modulo [L], so the coefficients fold into L slots by degree mod L, and
+    subtracting the top slot times [L] leaves degree below L-1.
+    """
+    if _is_q_integer(b.coeffs):
+        size = len(b.coeffs)
+        slots = [sum(a.coeffs[r::size]) for r in range(size)]
+        top = slots.pop()
+        return IntPoly([c - top for c in slots])
     r = list(a.coeffs)
     db, lb = b.degree, b.lead
     while len(r) - 1 >= db and r:
@@ -294,6 +310,8 @@ def _primitive(a: IntPoly) -> IntPoly:
     c = a.content()
     if a.lead < 0:
         c = -c
+    if c == 1:
+        return a
     return IntPoly(tuple(x // c for x in a.coeffs))
 
 
@@ -488,6 +506,8 @@ def q_product(factors: Iterable[tuple[int, int]], shift: int = 0,
     for k, e in net.items():
         if e and k < 1:
             raise ValueError(f"factor 1-q^{k} needs k >= 1")
+    if not shift and not any(net.values()):
+        return base
     c = list(base.coeffs)
     if not c:
         return ZERO
@@ -534,11 +554,6 @@ def _one_plus_q(e: int, power: int = 1) -> list[tuple[int, int]]:
 def _q_even(j: int, power: int = 1) -> list[tuple[int, int]]:
     """(1+q)(1+q^2)...(1+q^j)."""
     return [f for e in range(1, j + 1) for f in _one_plus_q(e, power)]
-
-
-def _q_odd_double(j: int) -> list[tuple[int, int]]:
-    """[2j-1]!! = [1][3]...[2j-1]."""
-    return [f for i in range(1, j + 1) for f in _q_int(2 * i - 1)]
 
 
 def q_factorial(n: int) -> IntPoly:

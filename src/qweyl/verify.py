@@ -21,12 +21,12 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional
 
 from .families import (
     ONE_MINUS_Q,
+    _corollary2_column,
+    _corollary3_column,
     _triangle,
     a_coeff,
     apply_exp_q2,
     big_hermite,
-    corollary2_coeff,
-    corollary3_coeff,
     g_coeff,
     h_poly,
     hermite,
@@ -37,7 +37,7 @@ from .families import (
     weyl_binomial,
 )
 from .polyring import XSPoly
-from .qarith import QScalar, QSCALAR_ZERO, gauss_binomial, q_integer, q_pow
+from .qarith import QScalar, QSCALAR_ZERO, _q_binom, q_integer, q_pow, q_product, to_polynomial
 
 Comparison = tuple[Mapping, Mapping]  # (lhs term map, rhs term map)
 
@@ -79,58 +79,63 @@ class VerificationReport:
 def _sd_sum_case(kind: str, n: int,
                  term: Callable[[int, int], tuple]) -> Iterator[Comparison]:
     """Operator n of an OPERATORS kind against sum_k scale * P(X, s) (sD)^k,
-    where term(n, k) = (scale, P).  P(X, s) has no D, so the term map of
-    P(X, s) (sD)^k is written directly: c x^a s^m becomes c X^a D^k s^(m+k)."""
+    where term(n, k) = (P, factors, shift) and the scale is the q_product
+    q^shift prod (1-q^i)^e over the pairs (i, e) of factors.  The scale is
+    applied to each coefficient of P by q_product, and P(X, s) has no D, so
+    the term map of P(X, s) (sD)^k is written directly: c x^a s^m becomes
+    scale * c X^a D^k s^(m+k)."""
     lhs, rhs = operator_row(kind, n).terms, {}
     for k in range(n + 1):
-        scale, p = term(n, k)
+        p, factors, shift = term(n, k)
         for (a, m), c in p.terms.items():
-            rhs[(a, k, m + k)] = c * scale
+            rhs[(a, k, m + k)] = QScalar.of(q_product(factors, shift, base=to_polynomial(c)))
     yield lhs, rhs
 
 
 def _expanded_case(kind: str, n: int,
-                   coeff: Callable[[int, int, int], QScalar]) -> Iterator[Comparison]:
-    """Operator n of an OPERATORS kind against coeff(n, m, j) at X^(m-j) D^(n-m-j) s^(n-m)."""
+                   column: Callable[[int, int, int], list]) -> Iterator[Comparison]:
+    """Operator n of an OPERATORS kind against the closed-form coefficients
+    read by columns: column(n, m, min(m, n-m)) lists them for j = 0, 1, ...,
+    and entry j sits at X^(m-j) D^(n-m-j) s^(n-m)."""
     lhs = operator_row(kind, n).terms
-    yield lhs, {(m - j, n - m - j, n - m): coeff(n, m, j) for m, j in _triangle(n)}
+    yield lhs, {(m - j, n - m - j, n - m): QScalar.of(c) for m in range(n + 1)
+                for j, c in enumerate(column(n, m, min(m, n - m)))}
 
 
 def _case_t1(n: int) -> Iterator[Comparison]:
     """(X+sD)^n = sum_k C(n,k) H_(n-k)(X,s) (sD)^k at q = 1."""
-    return _sd_sum_case("classical", n, lambda n, k: (math.comb(n, k), hermite(n - k)))
+    return _sd_sum_case("classical", n, lambda n, k: (math.comb(n, k) * hermite(n - k), [], 0))
 
 
 def _case_c1(n: int) -> Iterator[Comparison]:
     """Normal form of (X+sD)^n at q = 1 has Weyl binomial coefficients."""
-    return _expanded_case("classical", n, lambda n, m, j: QScalar(weyl_binomial(n, m, j)))
+    return _expanded_case("classical", n, lambda n, m, top: [
+        weyl_binomial(n, m, j) for j in range(top + 1)])
 
 
 def _case_t2(n: int) -> Iterator[Comparison]:
     """(X+q^(n-1)sD)...(X+sD) = sum_k g_n(k,X,s) s^k D^k."""
-    return _sd_sum_case("qdesc", n, lambda n, k: (1, g_coeff(n, k)))
+    return _sd_sum_case("qdesc", n, lambda n, k: (g_coeff(n, k), [], 0))
 
 
 def _case_c2(n: int) -> Iterator[Comparison]:
     """Fully expanded coefficients of the descending-power product."""
-    return _expanded_case("qdesc", n, corollary2_coeff)
+    return _expanded_case("qdesc", n, _corollary2_column)
 
 
 def _case_t3(n: int) -> Iterator[Comparison]:
     """(X+qsD)(X+q^3 sD)...(X+q^(2n-1)sD) = sum_k [n k] q^(kn) h_(n-k)(X,s) (sD)^k."""
-    return _sd_sum_case("qodd", n, lambda n, k: (
-        QScalar(gauss_binomial(n, k)) * q_pow(k * n), h_poly(n - k)))
+    return _sd_sum_case("qodd", n, lambda n, k: (h_poly(n - k), _q_binom(n, k), k * n))
 
 
 def _case_c3(n: int) -> Iterator[Comparison]:
     """Fully expanded coefficients of the odd-power product."""
-    return _expanded_case("qodd", n, corollary3_coeff)
+    return _expanded_case("qodd", n, _corollary3_column)
 
 
 def _case_t4(n: int) -> Iterator[Comparison]:
     """(X+(1-q)sD)^n = sum_k A(n,k,X) (1-q)^k s^k D^k."""
-    return _sd_sum_case("qtheorem4", n, lambda n, k: (
-        QScalar(ONE_MINUS_Q) ** k, a_coeff(n, k)))
+    return _sd_sum_case("qtheorem4", n, lambda n, k: (a_coeff(n, k), [(1, k)], 0))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import threading
 
 import pytest
 
-from qweyl import families, opalg
+from qweyl import families, opalg, qarith
 from qweyl.families import (
     OPERATORS,
     IndexOutOfRange,
@@ -31,6 +31,7 @@ from qweyl.opalg import TWIST_ONE, TWIST_Q, affine_factor, power, product
 from qweyl.polyring import XSPoly
 from qweyl.qarith import (
     IntPoly,
+    NotPolynomial,
     ONE,
     QScalar,
     ZERO,
@@ -267,6 +268,34 @@ class TestCorollaryCoeffs:
             corollary2_coeff(2, 1, 2)
         with pytest.raises(IndexOutOfRange):
             corollary3_coeff(2, 3, 0)
+
+
+class TestSteppedClosedForms:
+    """g_n(k) and the corollary columns are stepped in j from a closed start."""
+
+    def test_hold_no_memo(self):
+        # the columns and stepped terms live for one call: they are not
+        # memoized, and they add nothing to any memo table they could read,
+        # gauss_binomial's among them
+        for fn in (g_coeff, corollary2_coeff, corollary3_coeff,
+                   families._corollary2_column, families._corollary3_column):
+            assert not hasattr(fn, "cache_info")
+        memos = [f for module in (families, qarith) for f in vars(module).values()
+                 if hasattr(f, "cache_info")]
+        sizes = [f.cache_info().currsize for f in memos]
+        g_coeff(41, 7)
+        corollary2_coeff(41, 20, 9)
+        corollary3_coeff(41, 20, 9)
+        assert [f.cache_info().currsize for f in memos] == sizes
+
+    def test_slip_in_a_step_raises(self, monkeypatch):
+        # [i+1] written for [i] in every step ratio: some step's quotient fails
+        q_int = families._q_int
+        monkeypatch.setattr(families, "_q_int", lambda i, power=1: q_int(i + 1, power))
+        for fn, args in ((g_coeff, (9, 2)), (families._corollary2_column, (9, 4, 4)),
+                         (families._corollary3_column, (9, 4, 4))):
+            with pytest.raises(NotPolynomial):
+                fn(*args)
 
 
 class TestBigHermite:

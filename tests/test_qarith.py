@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qweyl import qarith
-from qweyl.families import _triangle, corollary2_coeff, corollary3_coeff, g_coeff
+from qweyl.families import _triangle, corollary2_coeff, corollary3_coeff, g_coeff, lucas_k
 from qweyl.polyring import XSPoly
 from qweyl.qarith import (
     IntPoly,
@@ -19,9 +19,9 @@ from qweyl.qarith import (
     QScalar,
     ONE,
     ZERO,
+    _divexact,
     _pseudo_rem,
     _q_even,
-    _q_odd_double,
     gauss_binomial,
     poly_gcd,
     q_factorial,
@@ -273,6 +273,78 @@ class TestPseudoRemainder:
                 assert _pseudo_rem(a, b) == pseudo_rem_reference(a, b)
 
 
+def divexact_reference(a, b):
+    """Top-down synthetic division of a by b; NotPolynomial unless exact."""
+    if a.is_zero():
+        return ZERO
+    if a.degree < b.degree:
+        raise NotPolynomial("degree too low")
+    rem = list(a.coeffs)
+    db, lb = b.degree, b.lead
+    quot = [0] * (a.degree - db + 1)
+    for i in reversed(range(len(quot))):
+        c = rem[i + db]
+        if c % lb != 0:
+            raise NotPolynomial("inexact leading ratio")
+        quot[i] = c // lb
+        for j, bc in enumerate(b.coeffs):
+            rem[i + j] -= quot[i] * bc
+    if any(rem):
+        raise NotPolynomial("nonzero remainder")
+    return IntPoly(quot)
+
+
+divisor_lengths = st.integers(2, 40)
+dividends = st.lists(st.one_of(st.integers(-20, 20), st.integers(-BIG, BIG)),
+                     max_size=90).map(IntPoly)
+
+
+class TestQIntegerDivisor:
+    """_pseudo_rem and _divexact by a q-integer [L] against the general
+    loops, written out above."""
+
+    @given(dividends, divisor_lengths)
+    def test_pseudo_rem(self, a, length):
+        b = q_integer(length)
+        assert _pseudo_rem(a, b) == pseudo_rem_reference(a, b)
+
+    @given(dividends.filter(lambda p: len(p.coeffs) < 40), divisor_lengths,
+           st.lists(st.integers(-3, 3), max_size=4).map(IntPoly))
+    def test_divexact(self, p, length, r):
+        # p [L] + r: exact when r is a multiple of [L] (r = 0 in particular)
+        b = q_integer(length)
+        a = p * b + r
+        try:
+            expected = divexact_reference(a, b)
+        except NotPolynomial:
+            with pytest.raises(NotPolynomial):
+                _divexact(a, b)
+        else:
+            assert _divexact(a, b) == expected
+
+    def test_examples(self):
+        for length in (2, 3, 17, 40):
+            b = q_integer(length)
+            short = IntPoly([5, 0, -BIG][:length - 1])  # degree below L-1
+            for a in (ZERO, short, IntPoly([1] * (2 * length - 1)), b * b * Q):
+                assert _pseudo_rem(a, b) == pseudo_rem_reference(a, b)
+            assert _pseudo_rem(short, b) == short
+            assert _divexact(ZERO, b) == ZERO
+            assert _divexact(b * b * Q, b) == b * Q
+            for a in (short, b + ONE, b * Q + Q):
+                with pytest.raises(NotPolynomial):
+                    divexact_reference(a, b)
+                with pytest.raises(NotPolynomial):
+                    _divexact(a, b)
+        a = IntPoly([3, -1, 4])
+        assert _divexact(a, ONE) is a
+
+    def test_gcd_of_q_integers(self):
+        for a in range(1, 41):
+            for b in range(1, 41):
+                assert poly_gcd(q_integer(a), q_integer(b)) == q_integer(math.gcd(a, b))
+
+
 def double_loop_product(a, b):
     """Reference multiply: every pair of coefficients, zeros included."""
     out = [0] * (len(a.coeffs) + len(b.coeffs))
@@ -504,12 +576,6 @@ class TestProducts:
             assert q_factorial(n) == \
                 math.prod((q_integer(i) for i in range(1, n + 1)), start=ONE)
             assert q_product(_q_even(n)) == even_product(n)
-            assert q_product(_q_odd_double(n)) == odd_double_factorial(n)
-
-    def test_odd_double_factorial(self):
-        assert q_product(_q_odd_double(0)) == ONE
-        assert q_product(_q_odd_double(1)) == ONE
-        assert q_product(_q_odd_double(2)) == IntPoly([1, 1, 1])
 
     def test_even_product(self):
         assert q_product(_q_even(0)) == ONE
@@ -595,20 +661,38 @@ def corollary3_by_field(n, m, j):
                        * q_factorial(n - m - j))
 
 
+def lucas_k_by_field(n, k):
+    """L_n^(k) with each whole term reduced in the QScalar field."""
+    if n == 0:
+        return XSPoly.one()
+    terms = {}
+    for j in range(n // 2 + 1):
+        ratio = QScalar(q_integer(n + k), q_integer(n + k - j)) \
+            * gauss_binomial(n + k - j, k) * gauss_binomial(n - j, j)
+        terms[(n - 2 * j, j)] = IntPoly.q_power(math.comb(j, 2)) * to_polynomial(ratio)
+    return XSPoly(terms)
+
+
 class TestClosedFormsAgainstField:
-    """The closed forms built with q_product equal the same formulas
-    computed in the QScalar field, for every index with n <= 10."""
+    """The closed forms, stepped or built with q_product, equal the same
+    formulas computed in the QScalar field: g_n(k) and the corollaries for
+    every index with n <= 13, L_n^(k) for n + k <= 20."""
 
     def test_g_coeff(self):
-        for n in range(11):
+        for n in range(14):
             for k in range(n + 1):
                 assert g_coeff(n, k) == g_by_field(n, k)
 
     def test_corollary_coeffs(self):
-        for n in range(11):
+        for n in range(14):
             for m, j in _triangle(n):
                 assert corollary2_coeff(n, m, j) == corollary2_by_field(n, m, j)
                 assert corollary3_coeff(n, m, j) == corollary3_by_field(n, m, j)
+
+    def test_lucas_k(self):
+        for n in range(21):
+            for k in range(21 - n):
+                assert lucas_k(n, k) == lucas_k_by_field(n, k)
 
 
 class TestToPolynomial:
