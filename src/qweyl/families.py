@@ -21,8 +21,10 @@ moving it to q_product waits for a benchmark change.  The rest of each Lucas
 term is a q_product divided exactly by the ratio's denominator.  Either way
 an inexact division raises NotPolynomial, at the step where it fails, so a
 transcription slip surfaces as an error instead of a silently wrong value.
-lucas_k is the one memo of Lucas coefficients, and the closed q-Weyl sum
-reads it, so each coefficient is computed once per process.
+lucas_k is the one memo of Lucas coefficients, so each is computed once
+per process.  A(n, k, x) and the closed q-Weyl binomial read one alternating
+sum of them, _lucas_sum, in Z[q]: a_coeff at every l, the closed and
+factored paths at one l, over (1-q)^l.
 
 operator_row(kind, n) memoizes the operators of OPERATORS with lru_cache,
 per (kind, n), and fills upward: row n is built once, by one composition
@@ -305,16 +307,25 @@ def lucas_k(n: int, k: int) -> XSPoly:
     return XSPoly(terms)
 
 
+def _lucas_sum(n: int, k: int, l: int) -> IntPoly:
+    """The alternating binomial sum of generalized Lucas coefficients,
+    sum_i (-1)^(l-i) C(n, i) [s^(l-i)] L^(k)_(n-2i-k), for
+    0 <= l <= (n-k)/2: the coefficient of x^(n-k-2l) s^l in A(n, k, x).
+    Each Lucas coefficient is read from the lucas_k memo."""
+    total = ZERO
+    for i in range(l + 1):
+        term = lucas_k(n - 2 * i - k, k).coefficient(n - k - 2 * l, l - i).num
+        total = total + (-1) ** (l - i) * math.comb(n, i) * term
+    return total
+
+
 def a_coeff(n: int, k: int) -> XSPoly:
     """A(n, k, x) = sum_i C(n, i) s^i L^(k)_(n-2i-k)(x, -s), the coefficient
-    of (1-q)^k s^k D^k in the expansion of (X + (1-q) s D)^n.  The binomial
-    here is the ordinary one."""
+    of (1-q)^k s^k D^k in the expansion of (X + (1-q) s D)^n, with ordinary
+    binomials; its coefficient of x^(n-k-2l) s^l is _lucas_sum(n, k, l)."""
     if n < 0 or k < 0 or k > n:
         raise IndexOutOfRange(f"need 0 <= k <= n, got (n,k)=({n},{k})")
-    result = XSPoly.zero()
-    for i in range((n - k) // 2 + 1):
-        result = result + lucas_k(n - 2 * i - k, k).scale_s(-1).shift(0, i, math.comb(n, i))
-    return result
+    return XSPoly({(n - k - 2 * l, l): _lucas_sum(n, k, l) for l in range((n - k) // 2 + 1)})
 
 
 def hermite_lucas_expand(n: int) -> XSPoly:
@@ -323,18 +334,6 @@ def hermite_lucas_expand(n: int) -> XSPoly:
     if n < 0:
         raise ValueError("hermite_lucas_expand requires n >= 0")
     return a_coeff(n, 0)
-
-
-def _qweyl_closed(n: int, m: int, l: int) -> IntPoly:
-    """The alternating binomial sum of generalized Lucas coefficients,
-    sum_i (-1)^(l-i) C(n, i) [s^(l-i)] L^(m-l)_(n-2i-(m-l)), over (1-q)^l.
-    Each Lucas coefficient is read from the lucas_k memo."""
-    total = ZERO
-    for i in range(l + 1):
-        sign = -1 if (l - i) % 2 else 1
-        term = lucas_k(n - 2 * i - (m - l), m - l).coefficient(n - m - l, l - i).num
-        total = total + sign * math.comb(n, i) * term
-    return q_product([(1, -l)], base=total)
 
 
 @lru_cache(maxsize=None)
@@ -367,9 +366,9 @@ def qweyl_binomial(n: int, m: int, l: int, path: str = "closed") -> IntPoly:
     """q-Weyl binomial: the coefficient of X^(m-l) s^(n-m) D^(n-m-l) in
     (X + sD)^n.  Zero outside 0 <= l <= min(m, n-m).
 
-    Three independent computation paths must agree:
-      closed     -- the alternating binomial sum with the 1/(1-q)^l prefactor;
-      factored   -- Gaussian binomial times the m = l value of the closed sum;
+    Three computation paths must agree:
+      closed     -- _lucas_sum(n, m-l, l) over (1-q)^l, in one q_product;
+      factored   -- Gaussian binomial [n-2l m-l] times the closed value at m = l;
       recurrence -- the memoized three-term-recurrence triangle.
     """
     if n < 0:
@@ -378,8 +377,8 @@ def qweyl_binomial(n: int, m: int, l: int, path: str = "closed") -> IntPoly:
         raise ValueError(f"unknown path {path!r}; expected one of {QWEYL_PATHS}")
     if l < 0 or m < 0 or m > n or l > min(m, n - m):
         return ZERO
+    if path == "recurrence":
+        return _qweyl_row(n).get((m, l), ZERO)
     if path == "closed":
-        return _qweyl_closed(n, m, l)
-    if path == "factored":
-        return gauss_binomial(n - 2 * l, m - l) * _qweyl_closed(n, l, l)
-    return _qweyl_row(n).get((m, l), ZERO)
+        return q_product([(1, -l)], base=_lucas_sum(n, m - l, l))
+    return gauss_binomial(n - 2 * l, m - l) * q_product([(1, -l)], base=_lucas_sum(n, 0, l))

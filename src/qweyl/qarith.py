@@ -152,12 +152,10 @@ class IntPoly:
         if len(a) == 1:
             ca = a[0]
             body = b if ca == 1 else tuple(ca * cb for cb in b)
-        # a q-integer operand [L] = (1-q^L)/(1-q) multiplies the other in one
-        # shift-subtract pass and one running-sum pass
+        # a shorter q-integer operand [L] = (1-q^L)/(1-q) multiplies the other
+        # in one shift-subtract pass and one running-sum pass
         elif _is_q_integer(a):
             return q_product([(len(a), 1), (1, -1)], va + vb, base=IntPoly._raw(b))
-        elif _is_q_integer(b):
-            return q_product([(len(b), 1), (1, -1)], va + vb, base=IntPoly._raw(a))
         else:
             out = [0] * (len(a) + len(b) - 1)
             for i, ca in enumerate(a):

@@ -360,12 +360,16 @@ class TestACoeff:
         assert a_coeff(2, 1) == XSPoly.monomial(1, 0, IntPoly([1, 1]))
 
     def test_k_zero_matches_expansion(self):
-        # A(n, 0, x) = sum_j C(n, j) s^j L_(n-2j)(x, -s)
-        for n in range(9):
-            expansion = XSPoly.zero()
-            for j in range(n // 2 + 1):
-                expansion = expansion + lucas(n - 2 * j).scale_s(-1).shift(0, j, math.comb(n, j))
-            assert a_coeff(n, 0) == expansion
+        # A(n, k, x) = sum_i C(n, i) s^i L^(k)_(n-2i-k)(x, -s), expanded in
+        # XSPoly arithmetic, for every k (k = 0 is sum_j C(n, j) s^j
+        # L_(n-2j)(x, -s))
+        for n in range(15):
+            for k in range(n + 1):
+                expansion = XSPoly.zero()
+                for i in range((n - k) // 2 + 1):
+                    expansion = expansion + lucas_k(n - 2 * i - k, k).scale_s(-1).shift(
+                        0, i, math.comb(n, i))
+                assert a_coeff(n, k) == expansion, (n, k)
 
     def test_out_of_range(self):
         with pytest.raises(IndexOutOfRange):
@@ -410,6 +414,15 @@ class TestQWeylBinomial:
                     closed = qweyl_binomial(n, m, l, "closed")
                     assert closed == qweyl_binomial(n, m, l, "factored")
                     assert closed == qweyl_binomial(n, m, l, "recurrence")
+
+    def test_closed_sum_is_a_coefficient_of_a(self):
+        # [x^(n-k-2l) s^l] A(n, k) = (1-q)^l {n k+l}_l, against the recurrence
+        for n in range(15):
+            for k in range(n + 1):
+                a = a_coeff(n, k)
+                for l in range((n - k) // 2 + 1):
+                    expected = ONE_MINUS_Q ** l * qweyl_binomial(n, k + l, l, "recurrence")
+                    assert a.coefficient(n - k - 2 * l, l) == QScalar(expected), (n, k, l)
 
     def test_oracle_supremacy(self):
         # every engine coefficient of (X+sD)^n equals the closed form

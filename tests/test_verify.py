@@ -2,9 +2,11 @@
 
 import hashlib
 import json
+import random
 
 import pytest
 
+from qweyl.qarith import QSCALAR_ZERO, q_pow
 from qweyl.verify import (
     ALL_CASE_IDS,
     CASES,
@@ -97,6 +99,39 @@ class TestFaultInjection:
         assert all(r["status"] == "fail" for r in reports)
         digest = hashlib.sha256(json.dumps(reports).encode()).hexdigest()
         assert digest == "f109abc3977ea43f4cb567db5128dec85df11e7d27741ab5fee061bbef759e6d"
+
+    @pytest.mark.parametrize("case_id", ["T4", "expand-4.7", "closed-4.14",
+                                         "factor-4.16", "rec-4.17"])
+    def test_transcription_slips_are_detected(self, monkeypatch, case_id):
+        # the slips a transcription makes, each in one right-hand-side
+        # coefficient at one n: the run at the stated range fails at that n
+        def moved(rhs, key):
+            # to the neighbouring key, first exponent + 1
+            out = {k: v for k, v in rhs.items() if k != key}
+            near = (key[0] + 1,) + tuple(key[1:])
+            out[near] = out.get(near, QSCALAR_ZERO) + rhs[key]
+            return out
+
+        slips = {
+            "times q": lambda rhs, key: {**rhs, key: rhs[key] * q_pow(1)},
+            "times 1/q": lambda rhs, key: {**rhs, key: rhs[key] * q_pow(-1)},
+            "dropped": lambda rhs, key: {k: v for k, v in rhs.items() if k != key},
+            "moved": moved,
+        }
+        case = CASES[case_id]
+        for seed, (name, slip) in enumerate(slips.items()):
+            for fault_n in (case.start, random.Random(seed).randint(case.start, case.n_max),
+                            case.n_max):
+                def faulty(n, check=case.check, slip=slip, fault_n=fault_n, seed=seed):
+                    for lhs, rhs in check(n):
+                        if n == fault_n:
+                            rhs = slip(rhs, random.Random(seed).choice(sorted(rhs)))
+                        yield lhs, rhs
+
+                monkeypatch.setitem(CASES, case_id, case._replace(check=faulty))
+                report, = run_cases([case_id])
+                assert report.status == "fail", (name, fault_n)
+                assert report.first_failure.n == fault_n, (name, fault_n)
 
     def test_deterministic(self):
         a = verify_theorem("T1", 4, fault_seed=42)
