@@ -13,7 +13,8 @@ are stepped in j: a closed start value, then each term is the one before
 times a short ratio of q-blocks, a few passes each.  The corollaries are
 stepped as columns over j, which live for one call; the start values are
 q_products too, so none of this adds to a memo.  Two things stay in the
-QScalar field.  apply_exp_q2 builds its coefficients there, so exp-2.6
+QScalar field.  apply_exp_q2 builds the coefficients of its operator
+sum_j c_j s^j D^(2j) there and acts through NormalOp.apply, so exp-2.6
 checks h_n against a different formula in a different arithmetic.  In
 lucas_k, the bracket ratio [n+k]/[n+k-j] is the only field reduction left:
 its gcd is the one bench/test_bench.py expects a `family` request to run, so
@@ -162,20 +163,16 @@ def h_poly(n: int) -> XSPoly:
 
 def apply_exp_q2(p: XSPoly) -> XSPoly:
     """The truncated exponential-series action
-    sum_(j>=0) q^(j^2) s^j / ((1+q)...(1+q^j) [j]!) dq^(2j)(p);
-    finite because dq^(2j) annihilates degrees below 2j.
-    Sends x^n to h_n."""
-    result = XSPoly.zero()
-    deriv, coef, j = p, QSCALAR_ONE, 0
-    while not deriv.is_zero():
-        if j:
-            # the ratio of consecutive coefficients, q^(2j-1) / ((1+q^j) [j])
-            coef = coef * QScalar(IntPoly.q_power(2 * j - 1),
-                                  (ONE + IntPoly.q_power(j)) * q_integer(j))
-        result = result + deriv.shift(0, j, coef)
-        deriv = deriv.dq().dq()
-        j += 1
-    return result
+    sum_(j>=0) q^(j^2) s^j / ((1+q)...(1+q^j) [j]!) dq^(2j)(p): the operator
+    sum_j c_j s^j D^(2j), 2j up to the largest x-degree of p, acting through
+    NormalOp.apply, with c_j = c_(j-1) q^(2j-1) / ((1+q^j) [j]) stepped in
+    the QScalar field.  Sends x^n to h_n."""
+    terms, coef = {(0, 0, 0): QSCALAR_ONE}, QSCALAR_ONE
+    for j in range(1, max((a for a, _ in p.terms), default=0) // 2 + 1):
+        coef = coef * QScalar(IntPoly.q_power(2 * j - 1),
+                              (ONE + IntPoly.q_power(j)) * q_integer(j))
+        terms[(0, 2 * j, j)] = coef
+    return NormalOp(TWIST_Q, terms).apply(p)
 
 
 def _g_start(n: int, k: int) -> IntPoly:

@@ -26,7 +26,8 @@ coefficient formula in the families module is verified against.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import index
+from functools import reduce
+from operator import index, mul
 from types import MappingProxyType
 from typing import Mapping, Sequence, Union
 
@@ -176,22 +177,18 @@ class NormalOp:
     __rmul__ = __mul__  # scalars are central
 
     def apply(self, p: XSPoly) -> XSPoly:
-        """Act on a polynomial: X multiplies by x, D is the q-derivative,
-        s powers multiply by s^m.  Only at the symbolic twist q does this
-        respect composition, so any other twist raises TwistMismatch;
-        specialize the result for q = 1 checks."""
+        """The one operator action: X multiplies by x, D is the q-derivative,
+        s^m multiplies by s^m; one dq ladder of p up to the largest D power,
+        summed over the terms in their stored order.  Only at the symbolic
+        twist q does this respect composition, so any other twist raises
+        TwistMismatch; specialize the result for q = 1 checks."""
         if self.twist != TWIST_Q:
             raise TwistMismatch("apply needs the twist q: D acts as the q-derivative")
-        if not self.terms:
-            return XSPoly.zero()
-        max_b = max(b for _, b, _ in self.terms)
-        derivatives = [p]
-        for _ in range(max_b):
-            derivatives.append(derivatives[-1].dq())
-        result = XSPoly.zero()
-        for (a, b, m), c in self.terms.items():
-            result = result + derivatives[b].shift(a, m, c)
-        return result
+        ladder = [p]
+        for _ in range(max((b for _, b, _ in self.terms), default=0)):
+            ladder.append(ladder[-1].dq())
+        return sum((ladder[b].shift(a, m, c) for (a, b, m), c in self.terms.items()),
+                   XSPoly.zero())
 
     def specialize_q(self, r: Union[int, Fraction]) -> "NormalOp":
         """Evaluate every coefficient (and the twist) at q = r exactly."""
@@ -251,20 +248,15 @@ def affine_factor(c: Scalar, twist: QScalar) -> NormalOp:
 
 
 def product(factors: Sequence[NormalOp], twist: QScalar | None = None) -> NormalOp:
-    """Left-to-right composition of all factors, which must share one twist.
-
-    The empty product is the identity, in the algebra named by `twist`
-    (defaulting to the symbolic q)."""
+    """Left-to-right composition of all factors by NormalOp's `*`, which
+    raises TwistMismatch for factors with different twists.  The empty
+    product is the identity in the algebra named by `twist` (defaulting to
+    the symbolic q); a nonempty one must be in that algebra if named."""
     if not factors:
         return NormalOp.identity(TWIST_Q if twist is None else twist)
-    expected = factors[0].twist if twist is None else twist
-    for f in factors:
-        if f.twist != expected:
-            raise TwistMismatch("product factors carry different twists")
-    result = factors[0]
-    for f in factors[1:]:
-        result = result * f
-    return result
+    if twist is not None and factors[0].twist != twist:
+        raise TwistMismatch("product factors carry a twist other than the one named")
+    return reduce(mul, factors)
 
 
 def power(base: NormalOp, n: int) -> NormalOp:

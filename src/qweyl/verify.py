@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from operator import index
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional
 
 from .families import (
@@ -36,6 +37,7 @@ from .families import (
     qweyl_binomial,
     weyl_binomial,
 )
+from .opalg import TWIST_Q, affine_factor
 from .polyring import XSPoly
 from .qarith import QScalar, QSCALAR_ZERO, _q_binom, q_integer, q_pow, q_product, to_polynomial
 
@@ -189,8 +191,7 @@ def _case_rec_28(n: int) -> Iterator[Comparison]:
 
 def _case_rec_33(n: int) -> Iterator[Comparison]:
     """h_n(x,s) = x h_(n-1)(x, q^2 s) + q s Dq h_(n-1)(x, q^2 s)."""
-    scaled = h_poly(n - 1).dilate(0, 2)
-    rhs = scaled.shift(1, 0) + scaled.dq().shift(0, 1, q_pow(1))
+    rhs = affine_factor(q_pow(1), TWIST_Q).apply(h_poly(n - 1).dilate(0, 2))
     yield h_poly(n).terms, rhs.terms
 
 
@@ -199,9 +200,8 @@ def _case_scale_3(n: int) -> Iterator[Comparison]:
 
 
 def _case_lucas(n: int) -> Iterator[Comparison]:
-    """The three Lucas relations, including the extra +s at n = 1."""
-    p = lucas(n).scale_s(-1)
-    lhs = p.shift(1, 0) + p.dq().shift(0, 1, QScalar(ONE_MINUS_Q))  # (X + (1-q) s Dq) p
+    """(X + (1-q) s D) L_n(x, -s): the three Lucas relations, with +s at n = 1."""
+    lhs = affine_factor(ONE_MINUS_Q, TWIST_Q).apply(lucas(n).scale_s(-1))
     if n == 0:
         rhs = lucas(1).scale_s(-1)
     elif n == 1:
@@ -287,6 +287,7 @@ def _run_case(case_id: str, n_max: int, fault_seed: Optional[int],
         kind = "theorem" if theorem else "identity"
         expected = tuple(i for i, c in CASES.items() if c.theorem == theorem)
         raise ValueError(f"unknown {kind} case {case_id!r}; expected one of {expected}")
+    n_max = index(n_max)
     if n_max < 1:
         raise ValueError("n_max must be positive")
     if not theorem:
@@ -333,8 +334,11 @@ def run_cases(case_ids: Optional[Iterable[str]] = None,
               n_max: Optional[int] = None) -> list[VerificationReport]:
     """Run selected cases (default: all) at their stated ranges, capped at
     n_max when given.  Reports come back in a fixed case order; a case whose
-    capped range holds no n is left out."""
-    if n_max is not None and n_max < 1:
+    capped range holds no n is left out.  TypeError for a non-integer
+    n_max, or for a bare string of case ids."""
+    if isinstance(case_ids, str):
+        raise TypeError("case_ids must be an iterable of case ids, not a string")
+    if n_max is not None and index(n_max) < 1:
         raise ValueError("n_max must be positive")
     reports = []
     for case_id in ALL_CASE_IDS if case_ids is None else case_ids:

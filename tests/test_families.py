@@ -6,6 +6,7 @@ import sys
 import threading
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qweyl import families, opalg, qarith
 from qweyl.families import (
@@ -226,8 +227,17 @@ class TestApplyExpQ2:
         assert apply_exp_q2(XSPoly.x(2)) == h_poly(2)
 
     def test_monomials_give_h(self):
-        for n in range(9):
+        for n in range(25):
             assert apply_exp_q2(XSPoly.x(n)) == h_poly(n)
+
+    @given(st.dictionaries(st.tuples(st.integers(0, 12), st.integers(0, 3)),
+                           st.integers(-9, 9).filter(bool), min_size=2, max_size=5))
+    @settings(max_examples=25, deadline=None)
+    def test_acts_linearly_on_every_term(self, terms):
+        # the series reaches the largest x-degree of p, not only the first
+        expected = sum((h_poly(a).shift(0, b, c) for (a, b), c in terms.items()),
+                       XSPoly.zero())
+        assert apply_exp_q2(XSPoly(terms)) == expected
 
 
 class TestGCoeff:
@@ -326,6 +336,32 @@ class TestOperatorRows:
             op = operator_row("qodd", 20)
         assert op.terms == {(m - j, 20 - m - j, 20 - m): corollary3_coeff(20, m, j)
                             for m in range(21) for j in range(min(m, 20 - m) + 1)}
+
+
+def act_by_factors(kind, n, p):
+    """p acted on by the n factors X + c(i) s D of an OPERATORS kind, one at
+    a time and the right-most first, through XSPoly alone: no composition."""
+    _, c, left = OPERATORS[kind]
+    for i in range(1, n + 1) if left else range(n, 0, -1):
+        p = p.shift(1, 0) + p.dq().shift(0, 1, c(i))
+    return p
+
+
+class TestActionOracle:
+    """Each q row acts on x^0 ... x^n as its factors do.  An operator of
+    D-degree at most n is fixed by that action (on x^j its D^j terms carry
+    [j]! != 0), so this pins the whole row against a reference that runs
+    no NormalOp `*`.
+    `classical` is pinned as the q = 1 image of `qpower` by
+    test_opalg.py's TestSpecialize."""
+
+    @pytest.mark.parametrize("kind", ["qpower", "qdesc", "qodd", "qtheorem4"])
+    def test_rows_act_as_their_factors(self, kind):
+        for n in range(13):
+            row = operator_row(kind, n)
+            for m in range(n + 1):
+                xm = XSPoly.x(m)
+                assert row.apply(xm) == act_by_factors(kind, n, xm), (kind, n, m)
 
 
 class TestLucas:

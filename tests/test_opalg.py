@@ -93,9 +93,9 @@ class TestNormalOrder:
 
 
 class TestDeepWords:
-    """The D^b X^a memo fills upward, row 1 in a and the other rows in b:
-    with it cold, a word with 300 X's, or D^300 X, needs a few frames, not
-    one per power."""
+    """The one memo, the rule's row D X^a, fills upward in a, and D^b
+    reaches a word one power of D at a time: with the memo cold, a word
+    with 300 X's, or D^300 X, needs a few frames, not one per power."""
 
     A = 300
 

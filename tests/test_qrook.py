@@ -13,8 +13,10 @@ uses only qarith; twist, c and side are read from OPERATORS.
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qweyl.families import OPERATORS, operator_row
+from qweyl.opalg import TWIST_ONE, TWIST_Q, normal_order
 from qweyl.qarith import QSCALAR_ONE, QSCALAR_Q, QSCALAR_ZERO
 
 
@@ -70,6 +72,14 @@ def rook_row(kind, n):
 def test_rook_rows_equal_engine_rows(kind):
     for n in range(9):
         assert rook_row(kind, n) == dict(operator_row(kind, n).terms), (kind, n)
+
+
+@given(st.text("XD", max_size=10), st.sampled_from([TWIST_Q, TWIST_ONE]))
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_random_words_at_both_twists(word, twist):
+    nx, nd = word.count("X"), word.count("D")
+    expected = {(nx - k, nd - k, 0): r for k, r in rook_numbers(word, twist).items()}
+    assert expected == dict(normal_order(word, twist).terms)
 
 
 def test_hand_counts():

@@ -179,6 +179,22 @@ class TestRunCases:
         with pytest.raises(ValueError):
             run_cases(["nope"])
 
+    def test_n_max_is_taken_as_an_integer(self):
+        # a bool is the integer it stands for, so no report says "n_max": true
+        for report in (verify_theorem("T1", True), verify_identity("dq-2.7", True),
+                       *run_cases(["T1"], n_max=True)):
+            assert json.dumps(report.to_json()["n_max"]) == "1"
+        # a float is refused at the call, whatever its value
+        for call in (lambda: verify_theorem("T1", 0.5), lambda: verify_identity("dq-2.7", 0.5),
+                     lambda: run_cases(n_max=0.5), lambda: run_cases(["T1"], n_max=2.0)):
+            with pytest.raises(TypeError):
+                call()
+
+    def test_bare_string_of_case_ids_is_refused(self):
+        # iterating "T1" would ask for a case 'T'
+        with pytest.raises(TypeError, match="not a string"):
+            run_cases("T1")
+
     def test_cases_check_their_reported_range(self, monkeypatch):
         # the n values a case compares are exactly the reported n_range
         for case_id, case in CASES.items():
