@@ -19,13 +19,15 @@ checks h_n against a different formula in a different arithmetic.  In
 lucas_k, the bracket ratio [n+k]/[n+k-j] is the only field reduction left:
 its gcd is the one bench/test_bench.py expects a `family` request to run, so
 moving it to q_product waits for a benchmark change.  The rest of each Lucas
-term is a q_product divided exactly by the ratio's denominator.  Either way
+term, the ratio's numerator times both of its Gaussian binomials, is one
+q_product divided exactly by the ratio's denominator.  Either way
 an inexact division raises NotPolynomial, at the step where it fails, so a
 transcription slip surfaces as an error instead of a silently wrong value.
 lucas_k is the one memo of Lucas coefficients, so each is computed once
 per process.  A(n, k, x) and the closed q-Weyl binomial read one alternating
 sum of them, _lucas_sum, in Z[q]: a_coeff at every l, the closed and
-factored paths at one l, over (1-q)^l.
+factored paths at one l, over (1-q)^l; factored folds its Gaussian binomial
+into the same q_product.
 
 operator_row(kind, n) memoizes the operators of OPERATORS with lru_cache,
 per (kind, n), and fills upward: row n is built once, by one composition
@@ -34,12 +36,15 @@ it.  Memory held grows with the largest n asked of each kind.  Concurrent
 cold calls may each build a row; the rows they build are equal, and the
 cache keeps one.  Every table here is such an lru_cache, and every value
 handed out has a read-only term map, so a caller cannot change what a memo
-table serves.
+table serves.  operator_row and lucas_k key their tables by type as well as
+value, since a two-argument key takes 4.0 for 4: a float index raises
+TypeError whether or not its int is memoized.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from functools import lru_cache
 from typing import Callable, Iterator, NamedTuple
 
@@ -57,7 +62,6 @@ from .qarith import (
     _q_even,
     _q_fact,
     _q_int,
-    gauss_binomial,
     q_integer,
     q_pow,
     q_product,
@@ -91,10 +95,11 @@ OPERATORS: dict[str, _Operator] = {
 }
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def operator_row(kind: str, n: int) -> NormalOp:
     """Normal form of the n-th operator of OPERATORS[kind]: row n is row n-1
     composed with the n-th factor, on the side the kind names."""
+    n = operator.index(n)
     if n < 0:
         raise ValueError("operator_row requires n >= 0")
     if kind not in OPERATORS:
@@ -283,14 +288,16 @@ def lucas(n: int) -> XSPoly:
     return lucas_k(n, 0)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def lucas_k(n: int, k: int) -> XSPoly:
     """Generalized q-Lucas polynomial L_n^(k):
     sum_j q^(C(j,2)) ([n+k]/[n+k-j]) [n+k-j k] [n-j j] s^j x^(n-2j),
     with L_0^(k) = 1 (the formal 0/0 at n = k = 0).  Only the bracket ratio
-    is reduced in the QScalar field; its numerator times the two Gaussian
-    binomials is divided exactly by its denominator, and an inexact
-    division raises NotPolynomial.  lucas_k(n, 0) is lucas(n)."""
+    is reduced in the QScalar field; its numerator is the base of one
+    q_product with the factor lists of both Gaussian binomials, which is
+    divided exactly by the ratio's denominator, and an inexact division
+    raises NotPolynomial.  lucas_k(n, 0) is lucas(n)."""
+    n, k = operator.index(n), operator.index(k)
     if n < 0 or k < 0:
         raise ValueError("lucas_k requires n, k >= 0")
     if n == 0:
@@ -298,8 +305,8 @@ def lucas_k(n: int, k: int) -> XSPoly:
     terms = {}
     for j in range(n // 2 + 1):
         ratio = QScalar(q_integer(n + k), q_integer(n + k - j))
-        num = q_product(_q_binom(n - j, j), math.comb(j, 2),
-                        base=ratio.num * gauss_binomial(n + k - j, k))
+        num = q_product(_q_binom(n + k - j, k) + _q_binom(n - j, j), math.comb(j, 2),
+                        base=ratio.num)
         terms[(n - 2 * j, j)] = _divexact(num, ratio.den)
     return XSPoly(terms)
 
@@ -365,7 +372,8 @@ def qweyl_binomial(n: int, m: int, l: int, path: str = "closed") -> IntPoly:
 
     Three computation paths must agree:
       closed     -- _lucas_sum(n, m-l, l) over (1-q)^l, in one q_product;
-      factored   -- Gaussian binomial [n-2l m-l] times the closed value at m = l;
+      factored   -- the closed value at m = l times [n-2l m-l], over
+                    (1-q)^l, in one q_product;
       recurrence -- the memoized three-term-recurrence triangle.
     """
     if n < 0:
@@ -378,4 +386,4 @@ def qweyl_binomial(n: int, m: int, l: int, path: str = "closed") -> IntPoly:
         return _qweyl_row(n).get((m, l), ZERO)
     if path == "closed":
         return q_product([(1, -l)], base=_lucas_sum(n, m - l, l))
-    return gauss_binomial(n - 2 * l, m - l) * q_product([(1, -l)], base=_lucas_sum(n, 0, l))
+    return q_product(_q_binom(n - 2 * l, m - l) + [(1, -l)], base=_lucas_sum(n, 0, l))

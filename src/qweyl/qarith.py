@@ -26,7 +26,6 @@ import itertools
 import math
 import operator
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
 
@@ -540,8 +539,9 @@ def _q_fact(n: int, power: int = 1) -> list[tuple[int, int]]:
 
 
 def _q_binom(n: int, k: int) -> list[tuple[int, int]]:
-    """Gaussian binomial [n k] = [n]!/([k]![n-k]!), for 0 <= k <= n."""
-    return _q_fact(n) + _q_fact(k, -1) + _q_fact(n - k, -1)
+    """Gaussian binomial [n k] = prod_(i=1..k) (1-q^(n-k+i))/(1-q^i), for
+    0 <= k <= n."""
+    return [f for i in range(1, k + 1) for f in ((n - k + i, 1), (i, -1))]
 
 
 def _one_plus_q(e: int, power: int = 1) -> list[tuple[int, int]]:
@@ -561,27 +561,15 @@ def q_factorial(n: int) -> IntPoly:
     return q_product(_q_fact(n))
 
 
-@lru_cache(maxsize=None)
 def gauss_binomial(n: int, k: int) -> IntPoly:
     """Gaussian binomial [n k] = [n]!/([k]![n-k]!); 0 when k < 0 or k > n.
 
-    Stepped along the row, [n k] = [n k-1] (1-q^(n-k+1))/(1-q^k), by
-    q_product with no gcd, for k <= n/2; the row is symmetric, [n k] =
-    [n n-k].  Memoized per (n, k).
-    """
+    One q_product of the factor list _q_binom, with no gcd and no memo."""
     if n < 0:
         raise ValueError("gauss_binomial requires n >= 0")
     if k < 0 or k > n:
         return ZERO
-    if k == 0:
-        return ONE
-    if 2 * k > n:
-        return gauss_binomial(n, n - k)
-    # Fill the cache upward first, so that no call recurses more than two
-    # deep, however large k is.
-    for i in range(1, k - 1):
-        gauss_binomial(n, i)
-    return q_product([(n - k + 1, 1), (k, -1)], base=gauss_binomial(n, k - 1))
+    return q_product(_q_binom(n, k))
 
 
 def to_polynomial(a: QScalar) -> IntPoly:

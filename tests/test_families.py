@@ -285,8 +285,7 @@ class TestSteppedClosedForms:
 
     def test_hold_no_memo(self):
         # the columns and stepped terms live for one call: they are not
-        # memoized, and they add nothing to any memo table they could read,
-        # gauss_binomial's among them
+        # memoized, and they add nothing to any memo table they could read
         for fn in (g_coeff, corollary2_coeff, corollary3_coeff,
                    families._corollary2_column, families._corollary3_column):
             assert not hasattr(fn, "cache_info")
@@ -336,6 +335,25 @@ class TestOperatorRows:
             op = operator_row("qodd", 20)
         assert op.terms == {(m - j, 20 - m - j, 20 - m): corollary3_coeff(20, m, j)
                             for m in range(21) for j in range(min(m, 20 - m) + 1)}
+
+
+class TestIntegerIndex:
+    # an lru_cache key treats 4.0 and 4 as equal, so a float index must be
+    # refused whether or not the int's value is already memoized
+    @pytest.mark.parametrize("fn, lead, tail", [
+        (operator_row, ("qpower",), ()), (lucas_k, (), (1,)), (lucas, (), ()),
+        (big_hermite, (), ()), (hermite, (), ()), (h_poly, (), ()),
+    ])
+    def test_float_index_raises_cold_and_warm(self, fn, lead, tail):
+        for memo in (operator_row, _xsd_power, big_hermite, lucas_k, lucas, hermite, h_poly):
+            memo.cache_clear()
+        with pytest.raises(TypeError):
+            fn(*lead, 4.0, *tail)
+        fn(*lead, 4, *tail)
+        with pytest.raises(TypeError):
+            fn(*lead, 4.0, *tail)
+        # a bool counts as its int
+        assert fn(*lead, True, *tail) == fn(*lead, 1, *tail)
 
 
 def act_by_factors(kind, n, p):
@@ -521,10 +539,11 @@ class TestQZeroSpecialization:
 
 class TestMemoTablesUnderThreads:
     def test_concurrent_growth_matches_serial(self):
-        # the q-Weyl recurrence rows, the operator rows and the Gaussian
-        # binomials are lru caches, and the engine's D X^a memo is a shared
-        # table grown on demand; threads filling them at once must all get
-        # the serial values, and the cache must hold each row once
+        # the q-Weyl recurrence rows and the operator rows are lru caches,
+        # and the engine's D X^a memo is a shared table grown on demand;
+        # threads filling them at once must all get the serial values, and
+        # the cache must hold each row once; the Gaussian binomials, which
+        # hold no memo, must agree too
         def values():
             ops = [power(affine_factor(1, twist), 12) for twist in (TWIST_Q, TWIST_ONE)]
             gauss = [gauss_binomial(40, k) for k in range(41)]
@@ -534,7 +553,6 @@ class TestMemoTablesUnderThreads:
             return gauss, row, ops, rows
 
         def reset():
-            gauss_binomial.cache_clear()
             families._qweyl_row.cache_clear()
             operator_row.cache_clear()
             opalg._D_POW_PAST_X.clear()

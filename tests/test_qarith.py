@@ -1,6 +1,8 @@
 """Exact Z[q] arithmetic and the q-combinatorial building blocks."""
 
 import math
+import os
+import subprocess
 import sys
 import threading
 from fractions import Fraction
@@ -549,14 +551,33 @@ class TestGaussBinomial:
                 assert gauss_binomial(n, k) == gauss_by_product(n, k)
 
     def test_cold_fill_needs_no_deep_recursion(self, spare_frames):
-        # the row is filled upward in k, so a cold [300 150] fits in 50 frames
-        gauss_binomial.cache_clear()
-        try:
-            with spare_frames(50):
-                value = gauss_binomial(300, 150)
-            assert value.evaluate(1) == math.comb(300, 150)
-        finally:
-            gauss_binomial.cache_clear()
+        # [300 150] is one q_product, with no recursion: it fits in 50 frames
+        with spare_frames(50):
+            value = gauss_binomial(300, 150)
+        assert value.evaluate(1) == math.comb(300, 150)
+
+    def test_cold_value_keeps_no_row_in_memory(self):
+        # a fresh interpreter's peak RSS for one cold [300 150] stays small:
+        # no row of Gaussian binomials is kept to reach it
+        pytest.importorskip("resource")
+        code = (
+            "import math, resource, sys\n"
+            "from qweyl.qarith import gauss_binomial\n"
+            "assert gauss_binomial(300, 150).evaluate(1) == math.comb(300, 150)\n"
+            "peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "print(peak // 1024 if sys.platform == 'darwin' else peak)\n"
+        )
+        # ru_maxrss keeps the launching process's peak across exec, so the
+        # measured interpreter is started by a small one, not by this one
+        launch = ("import subprocess, sys\n"
+                  "sys.exit(subprocess.run([sys.executable, '-c', sys.argv[1]]).returncode)\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(qarith.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", launch, code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert int(done.stdout) < 64 * 1024  # KiB
 
     def test_against_factorial_quotient_oracle(self):
         for n in range(13):
