@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from operator import index
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional
 
@@ -44,8 +43,7 @@ from .qarith import QScalar, QSCALAR_ZERO, _q_binom, q_integer, q_pow, q_product
 Comparison = tuple[Mapping, Mapping]  # (lhs term map, rhs term map)
 
 
-@dataclass(frozen=True)
-class FirstFailure:
+class FirstFailure(NamedTuple):
     n: int
     term: tuple
     lhs: str
@@ -55,8 +53,9 @@ class FirstFailure:
         return {"n": self.n, "term": list(self.term), "lhs": self.lhs, "rhs": self.rhs}
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
+    """One case's verdict.  Like FirstFailure, a NamedTuple: immutable, and
+    it unpacks and compares equal to the tuple of its fields."""
     case_id: str
     n_range: tuple[int, int]
     status: str  # "pass" | "fail"
@@ -212,7 +211,9 @@ def _case_lucas(n: int) -> Iterator[Comparison]:
 
 
 def _case_expand_47(n: int) -> Iterator[Comparison]:
-    lhs = big_hermite(n).scale_s(ONE_MINUS_Q)
+    """(X+sD)^n 1 from the engine's row, with s -> (1-q)s, against the
+    Lucas expansion; closed-4.14 reads the stepped big_hermite instead."""
+    lhs = operator_row("qpower", n).apply(XSPoly.one()).scale_s(ONE_MINUS_Q)
     yield lhs.terms, hermite_lucas_expand(n).terms
 
 

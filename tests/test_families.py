@@ -314,9 +314,24 @@ class TestBigHermite:
         assert big_hermite(2) == XSPoly({(2, 0): 1, (0, 1): 1})
         assert big_hermite(3) == XSPoly({(3, 0): 1, (1, 1): IntPoly([2, 1])})
 
+    def test_matches_engine_row(self):
+        # the stepped H_n against the normal-ordered (X+sD)^n applied to 1
+        for n in range(17):
+            assert big_hermite(n) == operator_row("qpower", n).apply(XSPoly.one()), n
+
+    def test_cold_value_builds_no_operator_row(self):
+        # H_n = (X+sD) H_(n-1) acts on polynomials; no power of the operator
+        # is normal-ordered, so the row table stays empty
+        _xsd_power.cache_clear()
+        big_hermite.cache_clear()
+        operator_row.cache_clear()
+        big_hermite(24)
+        assert operator_row.cache_info().currsize == 0
+        assert big_hermite.cache_info().currsize == 25
+
     def test_large_n_needs_no_deep_recursion(self, spare_frames):
-        # (X+sD)^n is filled upward, so a cold (X+sD)^20 fits in 30 frames;
-        # one frame per n needed over 40
+        # H_n is filled upward, each from the one before, so a cold H_20
+        # fits in 30 frames; stepping down by recursion needs over 40
         _xsd_power.cache_clear()
         big_hermite.cache_clear()
         operator_row.cache_clear()

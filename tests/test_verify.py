@@ -2,15 +2,21 @@
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import qweyl
 from qweyl.qarith import QSCALAR_ZERO, q_pow
 from qweyl.verify import (
     ALL_CASE_IDS,
     CASES,
     DEFAULT_N_MAX,
+    FirstFailure,
+    VerificationReport,
     run_cases,
     verify_identity,
     verify_theorem,
@@ -274,3 +280,33 @@ class TestReportJson:
         ff = data["first_failure"]
         assert set(ff) == {"n", "term", "lhs", "rhs"}
         json.dumps(data)
+
+    def test_reports_are_immutable_tuples(self):
+        failure = FirstFailure(n=2, term=(1, 1, 1), lhs="1+q", rhs="-1-q")
+        report = VerificationReport(case_id="T1", n_range=(1, 2), status="fail",
+                                    first_failure=failure)
+        assert VerificationReport._fields == ("case_id", "n_range", "status", "first_failure")
+        assert FirstFailure._fields == ("n", "term", "lhs", "rhs")
+        assert not report.passed
+        assert report == ("T1", (1, 2), "fail", (2, (1, 1, 1), "1+q", "-1-q"))
+        case_id, _, status, first = report
+        assert (case_id, status, first.n) == ("T1", "fail", 2)
+        assert report.to_json()["first_failure"] == {"n": 2, "term": [1, 1, 1],
+                                                     "lhs": "1+q", "rhs": "-1-q"}
+        for value, field in ((report, "status"), (failure, "n"), (report, "other")):
+            with pytest.raises(AttributeError):
+                setattr(value, field, None)
+
+
+class TestImportCost:
+    def test_cli_import_loads_no_dataclasses_or_inspect(self):
+        # the report types are NamedTuples; dataclasses would pull in
+        # inspect, ast, dis and tokenize in every fresh interpreter
+        src = os.path.dirname(os.path.dirname(os.path.abspath(qweyl.__file__)))
+        code = ("import sys, qweyl.cli\n"
+                "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n")
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
