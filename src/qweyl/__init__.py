@@ -51,6 +51,7 @@ from .verify import (
     FirstFailure,
     VerificationReport,
     run_cases,
+    verify_case,
     verify_identity,
     verify_theorem,
 )
@@ -66,6 +67,6 @@ __all__ = [
     "hermite", "weyl_binomial", "h_poly", "apply_exp_q2", "g_coeff",
     "corollary2_coeff", "corollary3_coeff", "big_hermite", "lucas",
     "lucas_k", "a_coeff", "hermite_lucas_expand", "qweyl_binomial",
-    "verify_theorem", "verify_identity", "run_cases",
+    "verify_case", "verify_theorem", "verify_identity", "run_cases",
     "VerificationReport", "FirstFailure", "ALL_CASE_IDS",
 ]

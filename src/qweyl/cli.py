@@ -154,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--case", action="append", choices=ALL_CASE_IDS,
                    help="case id; repeatable; default all")
     p.add_argument("--n-max", type=_positive, dest="n_max",
-                   help="cap every case's range at this n")
+                   help="check every case up to this n")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify)
 

@@ -389,6 +389,7 @@ def qweyl_binomial(n: int, m: int, l: int, path: str = "closed") -> IntPoly:
                     (1-q)^l, in one q_product;
       recurrence -- the memoized three-term-recurrence triangle.
     """
+    n, m, l = operator.index(n), operator.index(m), operator.index(l)
     if n < 0:
         raise ValueError("qweyl_binomial requires n >= 0")
     if path not in QWEYL_PATHS:

@@ -244,55 +244,57 @@ def _case_q1_collapse(n: int) -> Iterator[Comparison]:
 
 class _Case(NamedTuple):
     check: Callable[[int], Iterator[Comparison]]  # the comparisons of one n
-    n_max: int     # stated range
-    start: int     # first n the case checks
-    theorem: bool  # run through verify_theorem (uncapped), else verify_identity
+    n_max: int  # stated range
+    start: int  # first n the case checks
 
 
 # Stated ranges: 10 for the integer-arithmetic theorem, 8 where q-polynomial
 # products grow, 12 for the recurrence/derivative suite, 10 for the
 # q-Weyl-binomial chain.  The order here is the report order.
 CASES: dict[str, _Case] = {
-    "T1": _Case(_case_t1, 10, 1, True),
-    "T2": _Case(_case_t2, 8, 1, True),
-    "T3": _Case(_case_t3, 8, 1, True),
-    "T4": _Case(_case_t4, 8, 1, True),
-    "C1": _Case(_case_c1, 10, 1, True),
-    "C2": _Case(_case_c2, 8, 1, True),
-    "C3": _Case(_case_c3, 8, 1, True),
-    "H-deriv-1.9": _Case(_case_h_deriv, 12, 1, False),
-    "op-1.10": _Case(_case_op_110, 12, 1, False),
-    "sym-1.13": _Case(_case_sym_113, 12, 1, False),
-    "h-closed-2.1-vs-2.3": _Case(_case_h_closed, 8, 1, False),
-    "exp-2.6": _Case(_case_exp_26, 12, 1, False),
-    "dq-2.7": _Case(_case_dq_27, 12, 1, False),
-    "rec-2.8": _Case(_case_rec_28, 12, 2, False),
-    "rec-3.3": _Case(_case_rec_33, 12, 1, False),
-    "scale-3": _Case(_case_scale_3, 12, 1, False),
-    "lucas-4.4-4.6": _Case(_case_lucas, 12, 0, False),
-    "expand-4.7": _Case(_case_expand_47, 10, 1, False),
-    "closed-4.14": _Case(_case_closed_414, 10, 1, False),
-    "factor-4.16": _Case(_qweyl_pair_case("closed", "factored"), 10, 1, False),
-    "rec-4.17": _Case(_qweyl_pair_case("closed", "recurrence"), 10, 1, False),
-    "q1-collapse": _Case(_case_q1_collapse, 10, 1, False),
+    "T1": _Case(_case_t1, 10, 1),
+    "T2": _Case(_case_t2, 8, 1),
+    "T3": _Case(_case_t3, 8, 1),
+    "T4": _Case(_case_t4, 8, 1),
+    "C1": _Case(_case_c1, 10, 1),
+    "C2": _Case(_case_c2, 8, 1),
+    "C3": _Case(_case_c3, 8, 1),
+    "H-deriv-1.9": _Case(_case_h_deriv, 12, 1),
+    "op-1.10": _Case(_case_op_110, 12, 1),
+    "sym-1.13": _Case(_case_sym_113, 12, 1),
+    "h-closed-2.1-vs-2.3": _Case(_case_h_closed, 8, 1),
+    "exp-2.6": _Case(_case_exp_26, 12, 1),
+    "dq-2.7": _Case(_case_dq_27, 12, 1),
+    "rec-2.8": _Case(_case_rec_28, 12, 2),
+    "rec-3.3": _Case(_case_rec_33, 12, 1),
+    "scale-3": _Case(_case_scale_3, 12, 1),
+    "lucas-4.4-4.6": _Case(_case_lucas, 12, 0),
+    "expand-4.7": _Case(_case_expand_47, 10, 1),
+    "closed-4.14": _Case(_case_closed_414, 10, 1),
+    "factor-4.16": _Case(_qweyl_pair_case("closed", "factored"), 10, 1),
+    "rec-4.17": _Case(_qweyl_pair_case("closed", "recurrence"), 10, 1),
+    "q1-collapse": _Case(_case_q1_collapse, 10, 1),
 }
 
 ALL_CASE_IDS: tuple[str, ...] = tuple(CASES)
-DEFAULT_N_MAX: dict[str, int] = {case_id: case.n_max for case_id, case in CASES.items()}
 
 
-def _run_case(case_id: str, n_max: int, fault_seed: Optional[int],
-              theorem: bool) -> VerificationReport:
+def _case(case_id: str) -> _Case:
     case = CASES.get(case_id)
-    if case is None or case.theorem != theorem:
-        kind = "theorem" if theorem else "identity"
-        expected = tuple(i for i, c in CASES.items() if c.theorem == theorem)
-        raise ValueError(f"unknown {kind} case {case_id!r}; expected one of {expected}")
+    if case is None:
+        raise ValueError(f"unknown case {case_id!r}; expected one of {ALL_CASE_IDS}")
+    return case
+
+
+def verify_case(case_id: str, n_max: int,
+                fault_seed: Optional[int] = None) -> VerificationReport:
+    """Check one case for every n from its start up to exactly n_max;
+    ValueError for an unknown id, for n_max < 1, or when that range holds
+    no n.  With fault_seed, one right-hand-side coefficient is negated."""
+    case = _case(case_id)
     n_max = index(n_max)
     if n_max < 1:
         raise ValueError("n_max must be positive")
-    if not theorem:
-        n_max = min(n_max, case.n_max)
     if n_max < case.start:
         raise ValueError(f"case {case_id} starts at n = {case.start}, "
                          f"so n_max = {n_max} leaves it no n to check")
@@ -317,38 +319,26 @@ def _run_case(case_id: str, n_max: int, fault_seed: Optional[int],
     return VerificationReport(case_id, (case.start, n_max), "pass", None)
 
 
-def verify_theorem(case_id: str, n_max: int,
-                   fault_seed: Optional[int] = None) -> VerificationReport:
-    """Check one operator identity (T1-T4) or coefficient corollary (C1-C3)
-    for every n up to n_max."""
-    return _run_case(case_id, n_max, fault_seed, theorem=True)
-
-
-def verify_identity(case_id: str, n_max: int,
-                    fault_seed: Optional[int] = None) -> VerificationReport:
-    """Check one recurrence/derivative/collapse identity over its stated
-    range, capped at n_max; ValueError if that leaves no n to check."""
-    return _run_case(case_id, n_max, fault_seed, theorem=False)
+# Older names of the one entry point.  They are the same function object, not
+# wrappers, so code that wraps this module's functions by name also sees the
+# calls run_cases makes.
+verify_theorem = verify_identity = verify_case
 
 
 def run_cases(case_ids: Optional[Iterable[str]] = None,
               n_max: Optional[int] = None) -> list[VerificationReport]:
-    """Run selected cases (default: all) at their stated ranges, capped at
-    n_max when given.  Reports come back in a fixed case order; a case whose
-    capped range holds no n is left out.  TypeError for a non-integer
-    n_max, or for a bare string of case ids."""
+    """Run selected cases (default: all) through verify_case, each up to
+    n_max, or up to its stated range when n_max is None.  Reports come back
+    in the order asked; a case that starts above n_max is left out.
+    TypeError for a non-integer n_max, or for a bare string of case ids."""
     if isinstance(case_ids, str):
         raise TypeError("case_ids must be an iterable of case ids, not a string")
     if n_max is not None and index(n_max) < 1:
         raise ValueError("n_max must be positive")
     reports = []
     for case_id in ALL_CASE_IDS if case_ids is None else case_ids:
-        case = CASES.get(case_id)
-        if case is None:
-            raise ValueError(f"unknown case {case_id!r}")
-        limit = case.n_max if n_max is None else min(case.n_max, n_max)
-        if limit < case.start:
-            continue
-        verify = verify_theorem if case.theorem else verify_identity
-        reports.append(verify(case_id, limit))
+        case = _case(case_id)
+        limit = case.n_max if n_max is None else n_max
+        if limit >= case.start:
+            reports.append(verify_case(case_id, limit))
     return reports

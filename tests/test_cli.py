@@ -158,6 +158,13 @@ class TestVerify:
         assert json.loads(out) == [{"case": "T1", "n_max": 2, "status": "pass",
                                     "first_failure": None}]
 
+    def test_n_max_past_stated_range(self, capsys):
+        # dq-2.7 states n <= 12; --n-max checks it up to exactly 14
+        code, out, _ = run_cli(capsys, "verify", "--case", "dq-2.7", "--n-max", "14", "--json")
+        assert code == 0
+        assert json.loads(out) == [{"case": "dq-2.7", "n_max": 14, "status": "pass",
+                                    "first_failure": None}]
+
     def test_failure_exit_code(self, capsys, monkeypatch):
         failed = VerificationReport(
             "T1", (1, 2), "fail",

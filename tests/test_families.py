@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from qweyl import families, opalg, qarith
 from qweyl.families import (
     OPERATORS,
+    QWEYL_PATHS,
     IndexOutOfRange,
     _xsd_power,
     a_coeff,
@@ -476,6 +477,16 @@ class TestQWeylBinomial:
         with pytest.raises(ValueError):
             qweyl_binomial(3, 5, 0, path="bogus")
 
+    @pytest.mark.parametrize("path", QWEYL_PATHS)
+    def test_indices_are_integers(self, path):
+        # every path reads n, m and l through operator.index, so a float
+        # index is refused on each, whatever its value, and True counts as 1
+        for args in ((4, 2.0, 1), (4, 2, 1.0), (0.0, 0, 0), (4.0, 2, 1)):
+            with pytest.raises(TypeError):
+                qweyl_binomial(*args, path)
+        assert qweyl_binomial(4, 2, True, path) == qweyl_binomial(4, 2, 1, path)
+        assert qweyl_binomial(True, True, 0, path) == qweyl_binomial(1, 1, 0, path)
+
     def test_paths_agree(self):
         for n in range(9):
             for m in range(n + 1):
@@ -551,6 +562,43 @@ class TestQZeroSpecialization:
             for m in range(n + 1):
                 for l in range(min(m, n - m) + 1):
                     self.check(n, m, l, qweyl_binomial(n, m, l, "recurrence"))
+
+
+# The factor X + c s D of each kind whose c is one constant at q = -1.
+# qdesc alternates X + sD and X - sD there, so it has no such form.
+Q_MINUS_ONE_C = {"qpower": 1, "qodd": -1, "qtheorem4": 2}
+
+
+def trinomial_row(c, n):
+    """The normal form of (X + c s D)^n at q = -1, by `math` alone, as a map
+    (a, b, m) -> coefficient of X^a D^b s^m.  There DX = -XD + 1, so X^2 and
+    D^2 commute and (X + c s D)^2 = X^2 + c s + c^2 s^2 D^2; the power 2m is
+    a trinomial sum, already normally ordered, and an odd n multiplies it on
+    the right by X + c s D, which passes X through D^(2b) unchanged."""
+    half, odd = divmod(n, 2)
+    terms = {}
+    for a in range(half + 1):
+        for b in range(half - a + 1):
+            m = half + b - a  # the s power 2b + k, with k = half - a - b
+            w = math.comb(half, a) * math.comb(half - a, b) * c ** m
+            if odd:
+                terms[(2 * a + 1, 2 * b, m)] = w
+                terms[(2 * a, 2 * b + 1, m + 1)] = w * c
+            else:
+                terms[(2 * a, 2 * b, m)] = w
+    return terms
+
+
+class TestQMinusOneSpecialization:
+    """An oracle that shares no code with families or opalg: at q = -1 each
+    row of qpower, qodd and qtheorem4 is the trinomial form above."""
+
+    @pytest.mark.parametrize("kind", sorted(Q_MINUS_ONE_C))
+    def test_rows_to_24(self, kind):
+        for n in range(25):
+            row = operator_row(kind, n).specialize_q(-1).terms
+            assert row == trinomial_row(Q_MINUS_ONE_C[kind], n), (kind, n)
+
 
 class TestMemoTablesUnderThreads:
     def test_concurrent_growth_matches_serial(self):

@@ -14,10 +14,10 @@ from qweyl.qarith import QSCALAR_ZERO, q_pow
 from qweyl.verify import (
     ALL_CASE_IDS,
     CASES,
-    DEFAULT_N_MAX,
     FirstFailure,
     VerificationReport,
     run_cases,
+    verify_case,
     verify_identity,
     verify_theorem,
 )
@@ -43,12 +43,12 @@ class TestTheorems:
         assert verify_theorem("C3", 4).status == "pass"
 
     def test_unknown_case(self):
-        with pytest.raises(ValueError):
-            verify_theorem("T9", 3)
-        with pytest.raises(ValueError):
-            verify_theorem("dq-2.7", 3)
-        with pytest.raises(ValueError):
-            verify_theorem("T1", 0)
+        # the message names every case id; n_max = 0 is refused for any case
+        with pytest.raises(ValueError, match="dq-2.7"):
+            verify_case("T9", 3)
+        for case_id in ("T1", "dq-2.7"):
+            with pytest.raises(ValueError, match="n_max must be positive"):
+                verify_case(case_id, 0)
 
 
 class TestIdentities:
@@ -63,16 +63,22 @@ class TestIdentities:
         assert verify_identity("lucas-4.4-4.6", 1).n_range == (0, 1)
 
     def test_all_identities_small(self):
-        for case_id in [i for i, case in CASES.items() if not case.theorem]:
-            assert verify_identity(case_id, 4).status == "pass", case_id
+        for case_id in [i for i in ALL_CASE_IDS if not i.startswith(("T", "C"))]:
+            assert verify_case(case_id, 4).status == "pass", case_id
 
-    def test_n_max_capped_at_stated_range(self):
-        report = verify_identity("dq-2.7", 99)
-        assert report.n_range[1] == DEFAULT_N_MAX["dq-2.7"]
+    def test_n_max_past_stated_range(self):
+        # n_max means the same for every case: check up to exactly this n
+        report = verify_case("dq-2.7", 16)
+        assert report.n_range == (1, 16)
+        assert report.passed
+        assert [(r.case_id, r.n_range) for r in run_cases(["T2", "dq-2.7"], n_max=13)] \
+            == [("T2", (1, 13)), ("dq-2.7", (1, 13))]
 
-    def test_unknown_case(self):
-        with pytest.raises(ValueError):
-            verify_identity("T1", 3)
+    def test_one_entry_point(self):
+        # the older names are the same function object, not wrappers, so a
+        # tracer that wraps them by name also sees the calls run_cases makes
+        assert verify_theorem is verify_identity is verify_case
+        assert verify_identity("T1", 3) == verify_theorem("T1", 3) == verify_case("T1", 3)
 
     def test_empty_range_is_refused(self):
         # rec-2.8 starts at n = 2, so n_max = 1 leaves it nothing to compare
@@ -98,9 +104,8 @@ class TestFaultInjection:
     def test_fault_reports_are_pinned(self):
         # every case at n_max = 5 under seeds 0-7: which coefficient a seed
         # flips, and so every fault report, must not move
-        reports = [(verify_theorem if case.theorem else verify_identity)(
-                       case_id, 5, fault_seed=seed).to_json()
-                   for case_id, case in CASES.items() for seed in range(8)]
+        reports = [verify_case(case_id, 5, fault_seed=seed).to_json()
+                   for case_id in CASES for seed in range(8)]
         assert len(reports) == 176
         assert all(r["status"] == "fail" for r in reports)
         digest = hashlib.sha256(json.dumps(reports).encode()).hexdigest()
@@ -211,8 +216,7 @@ class TestRunCases:
                 return check(n)
 
             monkeypatch.setitem(CASES, case_id, case._replace(check=recording))
-            verify = verify_theorem if case.theorem else verify_identity
-            report = verify(case_id, 4)
+            report = verify_case(case_id, 4)
             first, last = report.n_range
             assert seen == list(range(first, last + 1)), case_id
 
