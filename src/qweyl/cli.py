@@ -77,22 +77,20 @@ def _cmd_family(args: argparse.Namespace) -> int:
 
 def _cmd_table(args: argparse.Namespace) -> int:
     n = args.n
-    entries = []
     index_name = "j" if args.coeff == "weyl" else "l"
-    for m, idx in _triangle(n):
-        if args.coeff == "weyl":
-            value = weyl_binomial(n, m, idx)
-            entries.append(({"m": m, index_name: idx, "value": value}, str(value)))
-        else:
-            poly = qweyl_binomial(n, m, idx, path="recurrence")
-            entries.append(({"m": m, index_name: idx, "value": poly.to_list()},
-                            str(poly)))
-    if args.json:
-        print(json.dumps({"coeff": args.coeff, "n": n,
-                          "entries": [e for e, _ in entries]}))
+    if args.coeff == "weyl":
+        entries = [(m, idx, weyl_binomial(n, m, idx)) for m, idx in _triangle(n)]
     else:
-        for entry, rendered in entries:
-            print(f"m={entry['m']} {index_name}={entry[index_name]}: {rendered}")
+        entries = [(m, idx, qweyl_binomial(n, m, idx, path="recurrence"))
+                   for m, idx in _triangle(n)]
+    if args.json:
+        print(json.dumps({"coeff": args.coeff, "n": n, "entries": [
+            {"m": m, index_name: idx,
+             "value": value if isinstance(value, int) else value.to_list()}
+            for m, idx, value in entries]}))
+    else:
+        for m, idx, value in entries:
+            print(f"m={m} {index_name}={idx}: {value}")
     return 0
 
 

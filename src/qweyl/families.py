@@ -16,13 +16,13 @@ q_products too, so none of this adds to a memo.  Two things stay in the
 QScalar field.  apply_exp_q2 builds the coefficients of its operator
 sum_j c_j s^j D^(2j) there and acts through NormalOp.apply, so exp-2.6
 checks h_n against a different formula in a different arithmetic.  In
-lucas_k, the bracket ratio [n+k]/[n+k-j] is the only field reduction left:
-its gcd is the one bench/test_bench.py expects a `family` request to run, so
-moving it to q_product waits for a benchmark change.  The rest of each Lucas
-term, the ratio's numerator times both of its Gaussian binomials, is one
-q_product divided exactly by the ratio's denominator.  Either way
-an inexact division raises NotPolynomial, at the step where it fails, so a
-transcription slip surfaces as an error instead of a silently wrong value.
+lucas_k, each term is one QScalar: its numerator q^C(j,2) [n+k] times both
+Gaussian binomials is one q_product, its denominator is [n+k-j], and its
+one field reduction runs the gcd that bench/test_bench.py expects of a
+`family` request, so moving the division into the q_product waits for a
+benchmark change.  Either way an inexact quotient raises NotPolynomial, at
+the step or term where it fails, so a transcription slip surfaces as an
+error instead of a silently wrong value.
 lucas_k is the one memo of Lucas coefficients, so each is computed once
 per process.  A(n, k, x) and the closed q-Weyl binomial read one alternating
 sum of them, _lucas_sum, in Z[q]: a_coeff at every l, the closed and
@@ -58,7 +58,6 @@ from .qarith import (
     QScalar,
     QSCALAR_ONE,
     ZERO,
-    _divexact,
     _one_plus_q,
     _q_binom,
     _q_even,
@@ -67,6 +66,7 @@ from .qarith import (
     q_integer,
     q_pow,
     q_product,
+    to_polynomial,
 )
 
 ONE_MINUS_Q = IntPoly([1, -1])
@@ -305,11 +305,11 @@ def lucas(n: int) -> XSPoly:
 def lucas_k(n: int, k: int) -> XSPoly:
     """Generalized q-Lucas polynomial L_n^(k):
     sum_j q^(C(j,2)) ([n+k]/[n+k-j]) [n+k-j k] [n-j j] s^j x^(n-2j),
-    with L_0^(k) = 1 (the formal 0/0 at n = k = 0).  Only the bracket ratio
-    is reduced in the QScalar field; its numerator is the base of one
-    q_product with the factor lists of both Gaussian binomials, which is
-    divided exactly by the ratio's denominator, and an inexact division
-    raises NotPolynomial.  lucas_k(n, 0) is lucas(n)."""
+    with L_0^(k) = 1 (the formal 0/0 at n = k = 0).  Each term is one
+    QScalar: q^C(j,2) [n+k] [n+k-j k] [n-j j], one q_product, over
+    [n+k-j], reduced once in the field and read back by to_polynomial,
+    which raises NotPolynomial when the quotient is not in Z[q].
+    lucas_k(n, 0) is lucas(n)."""
     n, k = operator.index(n), operator.index(k)
     if n < 0 or k < 0:
         raise ValueError("lucas_k requires n, k >= 0")
@@ -317,10 +317,9 @@ def lucas_k(n: int, k: int) -> XSPoly:
         return XSPoly.one()
     terms = {}
     for j in range(n // 2 + 1):
-        ratio = QScalar(q_integer(n + k), q_integer(n + k - j))
-        num = q_product(_q_binom(n + k - j, k) + _q_binom(n - j, j), math.comb(j, 2),
-                        base=ratio.num)
-        terms[(n - 2 * j, j)] = _divexact(num, ratio.den)
+        term = QScalar(q_product(_q_binom(n + k - j, k) + _q_binom(n - j, j), math.comb(j, 2),
+                                 base=q_integer(n + k)), q_integer(n + k - j))
+        terms[(n - 2 * j, j)] = to_polynomial(term)
     return XSPoly(terms)
 
 

@@ -8,6 +8,7 @@ import threading
 import pytest
 
 from qweyl import cli, families
+from qweyl.qarith import IntPoly
 from qweyl.verify import FirstFailure, VerificationReport
 
 
@@ -135,6 +136,17 @@ class TestTable:
         data = json.loads(out)
         assert data["coeff"] == "qweyl"
         assert {"m": 1, "l": 0, "value": [1, 1, 1]} in data["entries"]
+
+    @pytest.mark.parametrize("coeff, index_name, render",
+                             [("weyl", "j", str), ("qweyl", "l", lambda v: str(IntPoly(v)))])
+    def test_formats_agree_entry_by_entry(self, capsys, coeff, index_name, render):
+        # each JSON entry renders to the text line of the same (m, index)
+        for n in range(9):
+            _, text, _ = run_cli(capsys, "table", "--coeff", coeff, "--n", str(n))
+            _, out, _ = run_cli(capsys, "table", "--coeff", coeff, "--n", str(n), "--json")
+            lines = [f"m={e['m']} {index_name}={e[index_name]}: {render(e['value'])}"
+                     for e in json.loads(out)["entries"]]
+            assert text.splitlines() == lines, n
 
 
 class TestVerify:

@@ -282,7 +282,8 @@ class TestCorollaryCoeffs:
 
 
 class TestSteppedClosedForms:
-    """g_n(k) and the corollary columns are stepped in j from a closed start."""
+    """g_n(k) and the corollary columns are stepped in j from a closed start;
+    a slip in a step, or in a Lucas term, raises rather than passing."""
 
     def test_hold_no_memo(self):
         # the columns and stepped terms live for one call: they are not
@@ -306,6 +307,15 @@ class TestSteppedClosedForms:
                          (families._corollary3_column, (9, 4, 4))):
             with pytest.raises(NotPolynomial):
                 fn(*args)
+
+    def test_slip_in_a_lucas_bracket_raises(self, monkeypatch):
+        # [m+1] written for [m] in each Lucas term: its one field reduction
+        # leaves a denominator, and to_polynomial raises instead of handing
+        # out a wrong value; __wrapped__ leaves the lucas_k memo untouched
+        monkeypatch.setattr(families, "q_integer", lambda m: q_integer(m + 1))
+        for k in (0, 1):
+            with pytest.raises(NotPolynomial):
+                lucas_k.__wrapped__(3, k)
 
 
 class TestBigHermite:
