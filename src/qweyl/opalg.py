@@ -19,19 +19,21 @@ power is the composition of its factors, so all go through the same
 product.  The result is independent of rewrite order (confluence); the test
 suite checks this against a naive rewriter that picks random positions.
 
-NormalOp values are the ground truth ("oracle") that every closed-form
-coefficient formula in the families module is verified against.
+NormalOp is polyring's one term map, keyed (X power, D power, s power), plus
+a twist.  Its constructor checks what it is given; sums, negation, scale and
+composition build through the term map's unchecked builder and keep the
+twist.  NormalOp values are the ground truth ("oracle") that every
+closed-form coefficient formula in the families module is verified against.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from operator import index, mul
-from types import MappingProxyType
+from operator import mul
 from typing import Mapping, Sequence, Union
 
-from .polyring import XSPoly, _render_terms
+from .polyring import XSPoly, _TermMap, _render_terms
 from .qarith import (
     QScalar,
     QSCALAR_ONE,
@@ -77,35 +79,16 @@ def _d_past_x_pow(a: int, twist: QScalar) -> dict[tuple[int, int], QScalar]:
     return row
 
 
-class NormalOp:
-    """A normally ordered operator: sum of c * X^a D^b s^m terms.  The term
-    map is read-only, so an operator shared by a memo table cannot change."""
+class NormalOp(_TermMap):
+    """A normally ordered operator in the algebra of its twist: a sum of
+    c * X^a D^b s^m terms, keyed (a, b, m)."""
 
-    __slots__ = ("twist", "terms")
+    __slots__ = ("twist",)
+    _WIDTH = 3
 
     def __init__(self, twist: Scalar, terms: Mapping[Key, Scalar] = ()):
-        clean: dict[Key, QScalar] = {}
-        for (a, b, m), c in dict(terms).items():
-            a, b, m = index(a), index(b), index(m)
-            if a < 0 or b < 0 or m < 0:
-                raise ValueError("NormalOp exponents must be nonnegative")
-            c = QScalar.of(c)
-            if not c.is_zero():
-                clean[(a, b, m)] = c
+        super().__init__(terms)
         object.__setattr__(self, "twist", QScalar.of(twist))
-        object.__setattr__(self, "terms", MappingProxyType(clean))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("NormalOp is immutable")
-
-    @classmethod
-    def _raw(cls, twist: QScalar, terms: Mapping[Key, QScalar]) -> "NormalOp":
-        """Bypass the checks for int keys and QScalar values built by this
-        class; zero values are still dropped."""
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "twist", twist)
-        object.__setattr__(obj, "terms", MappingProxyType({k: c for k, c in terms.items() if c}))
-        return obj
 
     @classmethod
     def identity(cls, twist: QScalar) -> "NormalOp":
@@ -116,9 +99,6 @@ class NormalOp:
         """The multiplication operator f(X, s) for a polynomial f(x, s)."""
         return cls(twist, {(a, 0, m): c for (a, m), c in p.terms.items()})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, NormalOp):
             return NotImplemented
@@ -128,25 +108,9 @@ class NormalOp:
         return hash((self.twist, frozenset(self.terms.items())))
 
     def __add__(self, other) -> "NormalOp":
-        if not isinstance(other, NormalOp):
-            return NotImplemented
-        if self.twist != other.twist:
+        if isinstance(other, NormalOp) and self.twist != other.twist:
             raise TwistMismatch("cannot add operators with different twists")
-        out = self.terms.copy()
-        for k, c in other.terms.items():
-            prev = out.get(k)
-            out[k] = c if prev is None else prev + c
-        return NormalOp._raw(self.twist, out)
-
-    def __neg__(self) -> "NormalOp":
-        return NormalOp(self.twist, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other) -> "NormalOp":
-        return self + (-other)
-
-    def scale(self, c: Scalar) -> "NormalOp":
-        c = QScalar.of(c)
-        return NormalOp._raw(self.twist, {k: v * c for k, v in self.terms.items()})
+        return super().__add__(other)
 
     def __mul__(self, other) -> "NormalOp":
         """Normal form of the composition self after other."""
@@ -172,7 +136,7 @@ class NormalOp:
                 key = (a1 + a2, b2, m1 + m2)
                 prev = out.get(key)
                 out[key] = c1 * c2 if prev is None else prev + c1 * c2
-        return NormalOp._raw(self.twist, out)
+        return self._new(out)
 
     __rmul__ = __mul__  # scalars are central
 
@@ -192,13 +156,8 @@ class NormalOp:
 
     def specialize_q(self, r: Union[int, Fraction]) -> "NormalOp":
         """Evaluate every coefficient (and the twist) at q = r exactly."""
-        twist = QScalar.from_fraction(self.twist.evaluate(r))
-        out: dict[Key, QScalar] = {}
-        for k, c in self.terms.items():
-            v = c.evaluate(r)
-            if v != 0:
-                out[k] = QScalar.from_fraction(v)
-        return NormalOp(twist, out)
+        return NormalOp(QScalar.from_fraction(self.twist.evaluate(r)),
+                        {k: QScalar.from_fraction(c.evaluate(r)) for k, c in self.terms.items()})
 
     def sorted_terms(self) -> list[tuple[Key, QScalar]]:
         """Display order: descending D power, ascending X power within it."""

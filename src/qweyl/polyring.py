@@ -1,12 +1,17 @@
 """Polynomials in x and s over the rational-function scalars.
 
-XSPoly is a sparse map from exponent pairs (x-degree, s-degree) to QScalar,
-with zero coefficients never stored.  The q-derivative and the classical
-derivative act in x only; s is a passive parameter throughout.  The
-q-derivative is defined on the monomial basis, x^a -> [a] x^(a-1), so that
-specializing q = 1 is total (the difference quotient would be 0/0 there).
-Scalars go through qarith's QScalar.of, so qarith alone decides what one is;
-exponents must be nonnegative ints.
+XSPoly and opalg's NormalOp are the two kinds of one term map, _TermMap: a
+map from a key of nonnegative int exponents to a nonzero QScalar, read-only
+so that a value a memo table shares cannot change.  XSPoly's keys are
+(x-degree, s-degree).  The public constructors check what they are given
+(scalars go through qarith's QScalar.of, so qarith alone decides what one
+is); arithmetic builds its results with the one unchecked builder, _new, and
+does not re-check them.
+
+The q-derivative and the classical derivative act in x only; s is a passive
+parameter throughout.  The q-derivative is defined on the monomial basis,
+x^a -> [a] x^(a-1), so that specializing q = 1 is total (the difference
+quotient would be 0/0 there).
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import index
 from types import MappingProxyType
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, TypeVar, Union
 
 from .qarith import (
     QScalar,
@@ -28,27 +33,70 @@ from .qarith import (
 )
 
 Key = tuple[int, int]
+_T = TypeVar("_T", bound="_TermMap")
 
 
-class XSPoly:
-    """Polynomial in x and s with QScalar coefficients; immutable, with a
-    read-only term map."""
+class _TermMap:
+    """The term map behind XSPoly and NormalOp; a key holds _WIDTH exponents."""
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[Key, Scalar] = ()):
-        clean: dict[Key, QScalar] = {}
-        for (a, b), c in dict(terms).items():
-            a, b = index(a), index(b)
-            if a < 0 or b < 0:
-                raise ValueError("exponents must be nonnegative")
+    def __init__(self, terms: Mapping[tuple[int, ...], Scalar] = ()):
+        clean: dict[tuple[int, ...], QScalar] = {}
+        for key, c in dict(terms).items():
+            key = tuple(key)
+            if len(key) != self._WIDTH:
+                raise ValueError(f"{type(self).__name__} keys hold {self._WIDTH} exponents")
+            key = tuple(map(index, key))
+            if min(key) < 0:
+                raise ValueError(f"{type(self).__name__} exponents must be nonnegative")
             c = QScalar.of(c)
-            if not c.is_zero():
-                clean[(a, b)] = c
+            if c:
+                clean[key] = c
         object.__setattr__(self, "terms", MappingProxyType(clean))
 
     def __setattr__(self, name, value):
-        raise AttributeError("XSPoly is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _new(self: _T, terms: dict) -> _T:
+        """A value of this type with this value's other slots (a NormalOp's
+        twist) and the given terms, minus zeros; nothing else is checked."""
+        obj = object.__new__(type(self))
+        for name in type(self).__slots__:
+            object.__setattr__(obj, name, getattr(self, name))
+        object.__setattr__(obj, "terms", MappingProxyType({k: c for k, c in terms.items() if c}))
+        return obj
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __neg__(self: _T) -> _T:
+        return self._new({k: -c for k, c in self.terms.items()})
+
+    def __add__(self: _T, other) -> _T:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        out = self.terms.copy()
+        for k, c in other.terms.items():
+            prev = out.get(k)
+            out[k] = c if prev is None else prev + c
+        return self._new(out)
+
+    def __sub__(self: _T, other) -> _T:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self + (-other)
+
+    def scale(self: _T, c: Scalar) -> _T:
+        c = QScalar.of(c)
+        return self._new({k: v * c for k, v in self.terms.items()})
+
+
+class XSPoly(_TermMap):
+    """Polynomial in x and s with QScalar coefficients."""
+
+    __slots__ = ()
+    _WIDTH = 2
 
     @classmethod
     def zero(cls) -> "XSPoly":
@@ -74,9 +122,6 @@ class XSPoly:
     def const(cls, c: Scalar) -> "XSPoly":
         return cls({(0, 0): c})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def coefficient(self, a: int, b: int) -> QScalar:
         return self.terms.get((a, b), QSCALAR_ZERO)
 
@@ -87,23 +132,6 @@ class XSPoly:
 
     def __hash__(self) -> int:
         return hash(frozenset(self.terms.items()))
-
-    def __neg__(self) -> "XSPoly":
-        return XSPoly({k: -c for k, c in self.terms.items()})
-
-    def __add__(self, other) -> "XSPoly":
-        if not isinstance(other, XSPoly):
-            return NotImplemented
-        out = self.terms.copy()
-        for k, c in other.terms.items():
-            prev = out.get(k)
-            out[k] = c if prev is None else prev + c
-        return XSPoly(out)
-
-    def __sub__(self, other) -> "XSPoly":
-        if not isinstance(other, XSPoly):
-            return NotImplemented
-        return self + (-other)
 
     def __mul__(self, other) -> "XSPoly":
         if isinstance(other, SCALAR_TYPES):
@@ -116,7 +144,7 @@ class XSPoly:
                 k = (a1 + a2, b1 + b2)
                 prev = out.get(k)
                 out[k] = c1 * c2 if prev is None else prev + c1 * c2
-        return XSPoly(out)
+        return self._new(out)
 
     __rmul__ = __mul__  # scalars commute with x and s
 
@@ -128,37 +156,35 @@ class XSPoly:
             result = result * self
         return result
 
-    def scale(self, c: Scalar) -> "XSPoly":
-        c = QScalar.of(c)
-        if c.is_zero():
-            return XSPoly.zero()
-        return XSPoly({k: v * c for k, v in self.terms.items()})
-
     def shift(self, dx: int, ds: int, coef: Scalar = 1) -> "XSPoly":
-        """Multiply by coef * x^dx * s^ds."""
+        """Multiply by coef * x^dx * s^ds; no resulting exponent may be negative."""
         coef = QScalar.of(coef)
-        if coef.is_zero():
+        if coef.is_zero() or self.is_zero():
             return XSPoly.zero()
-        return XSPoly({(a + dx, b + ds): c * coef for (a, b), c in self.terms.items()})
+        dx, ds = index(dx), index(ds)
+        out = {(a + dx, b + ds): c * coef for (a, b), c in self.terms.items()}
+        if min(map(min, out)) < 0:
+            raise ValueError("XSPoly exponents must be nonnegative")
+        return self._new(out)
 
     def dq(self) -> "XSPoly":
         """q-derivative in x: x^a s^b -> [a] x^(a-1) s^b, extended linearly."""
-        return XSPoly({(a - 1, b): c * QScalar(q_integer(a))
-                       for (a, b), c in self.terms.items() if a})
+        return self._new({(a - 1, b): c * QScalar(q_integer(a))
+                          for (a, b), c in self.terms.items() if a})
 
     def ddx(self) -> "XSPoly":
         """Classical derivative in x; equals dq with q specialized to 1."""
-        return XSPoly({(a - 1, b): c * a for (a, b), c in self.terms.items() if a})
+        return self._new({(a - 1, b): c * a for (a, b), c in self.terms.items() if a})
 
     def dilate(self, a: int, b: int) -> "XSPoly":
         """Substitution x -> q^a x, s -> q^b s (a, b may be negative)."""
-        return XSPoly({(xa, sb): c * q_pow(a * xa + b * sb)
-                       for (xa, sb), c in self.terms.items()})
+        return self._new({(xa, sb): c * q_pow(a * xa + b * sb)
+                          for (xa, sb), c in self.terms.items()})
 
     def scale_s(self, c: Scalar) -> "XSPoly":
         """Substitution s -> c*s, e.g. the s -> -s and s -> (1-q)s arguments."""
         c = QScalar.of(c)
-        return XSPoly({(a, b): v * c ** b for (a, b), v in self.terms.items()})
+        return self._new({(a, b): v * c ** b for (a, b), v in self.terms.items()})
 
     def evaluate(self, x0: Union[int, Fraction], s0: Union[int, Fraction],
                  q0: Union[int, Fraction]) -> Fraction:

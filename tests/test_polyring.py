@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qweyl.opalg import TWIST_ONE, TWIST_Q, NormalOp
 from qweyl.polyring import XSPoly
 from qweyl.qarith import IntPoly, QScalar, q_integer
 
@@ -72,6 +73,26 @@ class TestConstruction:
         assert 3 * x == XSPoly.monomial(1, 0, 3)
         assert XSPoly({(1, 0): True}) == x.scale(True) == x
         assert IntPoly([1, 1]) * x == x * IntPoly([1, 1]) == XSPoly({(1, 0): IntPoly([1, 1])})
+
+
+class TestShift:
+    # results are built without the constructor's check, so shift enforces
+    # its own: a negative shift is fine, a negative resulting exponent is not
+    def test_negative_shift_within_degree(self):
+        assert XSPoly.x(2).shift(-1, 0) == XSPoly.x()
+        assert XSPoly.monomial(1, 2, 3).shift(-1, -2, 2) == XSPoly.const(6)
+
+    def test_negative_result_rejected(self):
+        with pytest.raises(ValueError):
+            XSPoly.x(2).shift(-3, 0)
+        with pytest.raises(ValueError):
+            XSPoly({(2, 0): 1, (0, 1): 1}).shift(-1, 0)
+
+    def test_non_integer_shift_rejected(self):
+        with pytest.raises(TypeError):
+            XSPoly.x(2).shift(1.5, 0)
+        with pytest.raises(TypeError):
+            XSPoly.x(2).shift(0, Fraction(1))
 
 
 class TestDq:
@@ -194,3 +215,78 @@ class TestScaleS:
         c = IntPoly([1, -1])
         p = XSPoly({(0, 1): 1})
         assert p.scale_s(c) == XSPoly({(0, 1): c})
+
+
+# XSPoly and NormalOp share one term map; every arithmetic result keeps its
+# invariants.  The operands have bool keys (stored as ints) and the
+# operations include cancellations and zero scalars, so a result that kept
+# a zero or a bool would show.
+XS = XSPoly({(True, 1): 3, (2, 0): IntPoly([1, 1]), (0, 0): -1})
+XS_OPS = {
+    "add": lambda p: p + XSPoly({(1, 1): -3, (3, 0): 1}),
+    "sub": lambda p: p - XSPoly.const(-1),
+    "neg": lambda p: -p,
+    "scale": lambda p: p.scale(IntPoly([1, -1])),
+    "scale-zero": lambda p: p.scale(0),
+    "shift": lambda p: p.shift(True, 2, IntPoly([0, 1])),
+    "shift-back": lambda p: p.shift(2, 1).shift(-1, -1),
+    "dq": lambda p: p.dq(),
+    "ddx": lambda p: p.ddx(),
+    "dilate": lambda p: p.dilate(-1, 2),
+    "scale_s-zero": lambda p: p.scale_s(0),
+    "scale_s": lambda p: p.scale_s(IntPoly([1, -1])),
+    "mul": lambda p: (p + XSPoly.s()) * (p - XSPoly.s()),
+    "scalar-mul": lambda p: 3 * p,
+}
+
+
+def _d(op):
+    return NormalOp(op.twist, {(0, 1, 0): 1})
+
+
+OP_OPS = {
+    "add": lambda op: op + NormalOp(op.twist, {(0, 1, 1): -2, (4, 0, 0): 1}),
+    "sub": lambda op: op - NormalOp(op.twist, {(1, 0, 0): 1}),
+    "neg": lambda op: -op,
+    "scale": lambda op: op.scale(IntPoly([1, 1])),
+    "scale-zero": lambda op: op.scale(0),
+    "mul": lambda op: (op + _d(op)) * (op - _d(op)),
+    "scalar-mul": lambda op: op * 3,
+}
+OPERANDS = [pytest.param(XS, fn, id=f"XSPoly-{name}") for name, fn in XS_OPS.items()] + [
+    pytest.param(NormalOp(twist, {(True, 0, 0): 1, (0, 1, 1): 2, (2, 2, False): IntPoly([0, 1])}),
+                 fn, id=f"NormalOp-{tag}-{name}")
+    for tag, twist in (("q", TWIST_Q), ("one", TWIST_ONE)) for name, fn in OP_OPS.items()]
+
+
+class TestTermMapResults:
+    @pytest.mark.parametrize("operand, op", OPERANDS)
+    def test_result_invariants(self, operand, op):
+        result = op(operand)
+        width = 2 if isinstance(operand, XSPoly) else 3
+        assert type(result) is type(operand)
+        with pytest.raises(TypeError):
+            result.terms[(0,) * width] = QScalar(1)
+        with pytest.raises(AttributeError):
+            result.terms = {}
+        for key, c in result.terms.items():
+            assert type(key) is tuple and len(key) == width
+            assert all(type(e) is int for e in key)
+            assert type(c) is QScalar and not c.is_zero()
+        if isinstance(operand, NormalOp):
+            assert result.twist == operand.twist
+
+    def test_mixed_kinds_refused(self):
+        p, op = XSPoly.x(), NormalOp(TWIST_Q, {(1, 0, 0): 1})
+        for call in (lambda: p + op, lambda: op + p, lambda: p - op, lambda: op - p):
+            with pytest.raises(TypeError):
+                call()
+
+    @pytest.mark.parametrize("key", [(1,), (1, 2, 3), (1, 2, 3, 4)])
+    def test_wrong_key_width_refused(self, key):
+        if len(key) != 2:
+            with pytest.raises(ValueError):
+                XSPoly({key: 1})
+        if len(key) != 3:
+            with pytest.raises(ValueError):
+                NormalOp(TWIST_Q, {key: 1})
