@@ -13,6 +13,9 @@ There is one rewrite path.  The only memo table holds the rule's row, the
 normal form of D X^a, filled upward in a by the rule.  Composing A after B
 pushes D through B one power at a time, D^k B = D (D^(k-1) B), reading
 D X^a from that row, then sums c X^a s^m (D^b B) over the terms of A.
+An operator acts on a polynomial p in the same two steps: a ladder of
+q-derivatives D^k p, then one summed build of c x^a s^m (D^b p) over its
+terms.
 There is one operator type, NormalOp: normal_order(word, twist) composes
 the word's letters, a sum of words is the sum of their NormalOps, and a
 power is the composition of its factors, so all go through the same
@@ -20,10 +23,11 @@ product.  The result is independent of rewrite order (confluence); the test
 suite checks this against a naive rewriter that picks random positions.
 
 NormalOp is polyring's one term map, keyed (X power, D power, s power), plus
-a twist.  Its constructor checks what it is given; sums, negation, scale and
-composition build through the term map's unchecked builder and keep the
-twist.  NormalOp values are the ground truth ("oracle") that every
-closed-form coefficient formula in the families module is verified against.
+a twist.  Its constructor checks what it is given; sums, negation, scale,
+each ladder rung and the composition itself build through the term map's
+one summing builder and keep the twist.  NormalOp values are the ground
+truth ("oracle") that every closed-form coefficient formula in the families
+module is verified against.
 """
 
 from __future__ import annotations
@@ -121,38 +125,31 @@ class NormalOp(_TermMap):
         if self.twist != other.twist:
             raise TwistMismatch("cannot compose operators with different twists")
         # ladder[k] is D^k * other, each rung D times the one before
-        ladder = [other.terms]
+        ladder = [other]
         for _ in range(max((b for _, b, _ in self.terms), default=0)):
-            rung: dict[Key, QScalar] = {}
-            for (a, b, m), c in ladder[-1].items():
-                for (x, d), c2 in _d_past_x_pow(a, self.twist).items():
-                    key = (x, d + b, m)
-                    prev = rung.get(key)
-                    rung[key] = c * c2 if prev is None else prev + c * c2
-            ladder.append(rung)
-        out: dict[Key, QScalar] = {}
-        for (a1, b1, m1), c1 in self.terms.items():
-            for (a2, b2, m2), c2 in ladder[b1].items():
-                key = (a1 + a2, b2, m1 + m2)
-                prev = out.get(key)
-                out[key] = c1 * c2 if prev is None else prev + c1 * c2
-        return self._new(out)
+            ladder.append(self._new(((x, d + b, m), c * c2)
+                                    for (a, b, m), c in ladder[-1].terms.items()
+                                    for (x, d), c2 in _d_past_x_pow(a, self.twist).items()))
+        return self._new(((a1 + a2, b2, m1 + m2), c1 * c2)
+                         for (a1, b1, m1), c1 in self.terms.items()
+                         for (a2, b2, m2), c2 in ladder[b1].terms.items())
 
     __rmul__ = __mul__  # scalars are central
 
     def apply(self, p: XSPoly) -> XSPoly:
         """The one operator action: X multiplies by x, D is the q-derivative,
-        s^m multiplies by s^m; one dq ladder of p up to the largest D power,
-        summed over the terms in their stored order.  Only at the symbolic
-        twist q does this respect composition, so any other twist raises
-        TwistMismatch; specialize the result for q = 1 checks."""
+        s^m multiplies by s^m.  It takes composition's two steps: a ladder
+        of q-derivatives of p up to the largest D power, then one summed
+        build over this operator's terms.  Only at the symbolic twist q does
+        this respect composition, so any other twist raises TwistMismatch;
+        specialize the result for q = 1 checks."""
         if self.twist != TWIST_Q:
             raise TwistMismatch("apply needs the twist q: D acts as the q-derivative")
         ladder = [p]
         for _ in range(max((b for _, b, _ in self.terms), default=0)):
             ladder.append(ladder[-1].dq())
-        return sum((ladder[b].shift(a, m, c) for (a, b, m), c in self.terms.items()),
-                   XSPoly.zero())
+        return p._new(((x + a, s + m), v * c) for (a, b, m), c in self.terms.items()
+                      for (x, s), v in ladder[b].terms.items())
 
     def specialize_q(self, r: Union[int, Fraction]) -> "NormalOp":
         """Evaluate every coefficient (and the twist) at q = r exactly."""

@@ -5,8 +5,9 @@ map from a key of nonnegative int exponents to a nonzero QScalar, read-only
 so that a value a memo table shares cannot change.  XSPoly's keys are
 (x-degree, s-degree).  The public constructors check what they are given
 (scalars go through qarith's QScalar.of, so qarith alone decides what one
-is); arithmetic builds its results with the one unchecked builder, _new, and
-does not re-check them.
+is).  Every sum, product and action builds its result with the one
+unchecked builder, _new, which sums (key, coefficient) pairs by key and
+drops zeros; it checks nothing else.
 
 The q-derivative and the classical derivative act in x only; s is a passive
 parameter throughout.  The q-derivative is defined on the monomial basis,
@@ -17,6 +18,7 @@ quotient would be 0/0 there).
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from operator import index
 from types import MappingProxyType
 from typing import Iterable, Mapping, TypeVar, Union
@@ -58,29 +60,30 @@ class _TermMap:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
-    def _new(self: _T, terms: dict) -> _T:
+    def _new(self: _T, terms: Iterable[tuple[tuple[int, ...], QScalar]]) -> _T:
         """A value of this type with this value's other slots (a NormalOp's
-        twist) and the given terms, minus zeros; nothing else is checked."""
+        twist) whose terms are the given (key, coefficient) pairs, summed by
+        key, minus zeros; nothing else is checked."""
+        out: dict[tuple[int, ...], QScalar] = {}
+        for k, c in terms:
+            prev = out.get(k)
+            out[k] = c if prev is None else prev + c
         obj = object.__new__(type(self))
         for name in type(self).__slots__:
             object.__setattr__(obj, name, getattr(self, name))
-        object.__setattr__(obj, "terms", MappingProxyType({k: c for k, c in terms.items() if c}))
+        object.__setattr__(obj, "terms", MappingProxyType({k: c for k, c in out.items() if c}))
         return obj
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def __neg__(self: _T) -> _T:
-        return self._new({k: -c for k, c in self.terms.items()})
+        return self._new((k, -c) for k, c in self.terms.items())
 
     def __add__(self: _T, other) -> _T:
         if not isinstance(other, type(self)):
             return NotImplemented
-        out = self.terms.copy()
-        for k, c in other.terms.items():
-            prev = out.get(k)
-            out[k] = c if prev is None else prev + c
-        return self._new(out)
+        return self._new(chain(self.terms.items(), other.terms.items()))
 
     def __sub__(self: _T, other) -> _T:
         if not isinstance(other, type(self)):
@@ -89,7 +92,7 @@ class _TermMap:
 
     def scale(self: _T, c: Scalar) -> _T:
         c = QScalar.of(c)
-        return self._new({k: v * c for k, v in self.terms.items()})
+        return self._new((k, v * c) for k, v in self.terms.items())
 
 
 class XSPoly(_TermMap):
@@ -138,13 +141,8 @@ class XSPoly(_TermMap):
             return self.scale(other)
         if not isinstance(other, XSPoly):
             return NotImplemented
-        out: dict[Key, QScalar] = {}
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
-                k = (a1 + a2, b1 + b2)
-                prev = out.get(k)
-                out[k] = c1 * c2 if prev is None else prev + c1 * c2
-        return self._new(out)
+        return self._new(((a1 + a2, b1 + b2), c1 * c2) for (a1, b1), c1 in self.terms.items()
+                         for (a2, b2), c2 in other.terms.items())
 
     __rmul__ = __mul__  # scalars commute with x and s
 
@@ -162,29 +160,29 @@ class XSPoly(_TermMap):
         if coef.is_zero() or self.is_zero():
             return XSPoly.zero()
         dx, ds = index(dx), index(ds)
-        out = {(a + dx, b + ds): c * coef for (a, b), c in self.terms.items()}
-        if min(map(min, out)) < 0:
+        out = self._new(((a + dx, b + ds), c * coef) for (a, b), c in self.terms.items())
+        if min(map(min, out.terms)) < 0:
             raise ValueError("XSPoly exponents must be nonnegative")
-        return self._new(out)
+        return out
 
     def dq(self) -> "XSPoly":
         """q-derivative in x: x^a s^b -> [a] x^(a-1) s^b, extended linearly."""
-        return self._new({(a - 1, b): c * QScalar(q_integer(a))
-                          for (a, b), c in self.terms.items() if a})
+        return self._new(((a - 1, b), c * QScalar(q_integer(a)))
+                         for (a, b), c in self.terms.items() if a)
 
     def ddx(self) -> "XSPoly":
         """Classical derivative in x; equals dq with q specialized to 1."""
-        return self._new({(a - 1, b): c * a for (a, b), c in self.terms.items() if a})
+        return self._new(((a - 1, b), c * a) for (a, b), c in self.terms.items() if a)
 
     def dilate(self, a: int, b: int) -> "XSPoly":
         """Substitution x -> q^a x, s -> q^b s (a, b may be negative)."""
-        return self._new({(xa, sb): c * q_pow(a * xa + b * sb)
-                          for (xa, sb), c in self.terms.items()})
+        return self._new(((xa, sb), c * q_pow(a * xa + b * sb))
+                         for (xa, sb), c in self.terms.items())
 
     def scale_s(self, c: Scalar) -> "XSPoly":
         """Substitution s -> c*s, e.g. the s -> -s and s -> (1-q)s arguments."""
         c = QScalar.of(c)
-        return self._new({(a, b): v * c ** b for (a, b), v in self.terms.items()})
+        return self._new(((a, b), v * c ** b) for (a, b), v in self.terms.items())
 
     def evaluate(self, x0: Union[int, Fraction], s0: Union[int, Fraction],
                  q0: Union[int, Fraction]) -> Fraction:

@@ -29,7 +29,7 @@ from qweyl.families import (
     qweyl_binomial,
     weyl_binomial,
 )
-from qweyl.opalg import TWIST_ONE, TWIST_Q, affine_factor, power, product
+from qweyl.opalg import TWIST_ONE, TWIST_Q, NormalOp, affine_factor, power, product
 from qweyl.polyring import XSPoly
 from qweyl.qarith import (
     IntPoly,
@@ -391,6 +391,13 @@ def act_by_factors(kind, n, p):
     return p
 
 
+def act_by_composition(op, p):
+    """op acting on p, read off the composition op * p: a normal form acts
+    on 1 through its D^0 terms alone, since X^a D^b s^m 1 = 0 for b > 0."""
+    composed = op * NormalOp.from_polynomial(p, op.twist)
+    return XSPoly({(a, m): c for (a, b, m), c in composed.terms.items() if not b})
+
+
 class TestActionOracle:
     """Each q row acts on x^0 ... x^n as its factors do.  An operator of
     D-degree at most n is fixed by that action (on x^j its D^j terms carry
@@ -406,6 +413,14 @@ class TestActionOracle:
             for m in range(n + 1):
                 xm = XSPoly.x(m)
                 assert row.apply(xm) == act_by_factors(kind, n, xm), (kind, n, m)
+
+    @pytest.mark.parametrize("kind", ["qpower", "qdesc", "qodd", "qtheorem4"])
+    def test_action_agrees_with_composition(self, kind):
+        for n in range(9):
+            row = operator_row(kind, n)
+            for m in range(n + 1):
+                xm = XSPoly.x(m)
+                assert row.apply(xm) == act_by_composition(row, xm), (kind, n, m)
 
 
 class TestLucas:

@@ -346,6 +346,14 @@ class TestApply:
     def test_affine_on_one(self):
         assert affine_factor(1, TWIST_Q).apply(XSPoly.one()) == XSPoly.x()
 
+    def test_cancelled_terms_dropped(self):
+        # X and X^2 D both send x*s to x^2*s, and x to x^2
+        x_minus_x2d = NormalOp(TWIST_Q, {(1, 0, 0): 1, (2, 1, 0): -1})
+        p = XSPoly({(1, 1): 3, (2, 0): IntPoly([1, 1]), (0, 0): -1})
+        assert x_minus_x2d.apply(p).terms == {(3, 0): QScalar(IntPoly([0, -1, -1])),
+                                             (1, 0): QScalar(-1)}
+        assert x_minus_x2d.apply(XSPoly.x()).is_zero()
+
     def test_linear(self):
         op = power(affine_factor(1, TWIST_Q), 2)
         p1, p2 = XSPoly.x(3), XSPoly.monomial(1, 2, 5)

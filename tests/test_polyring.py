@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qweyl.opalg import TWIST_ONE, TWIST_Q, NormalOp
+from qweyl.opalg import TWIST_ONE, TWIST_Q, NormalOp, TwistMismatch
 from qweyl.polyring import XSPoly
 from qweyl.qarith import IntPoly, QScalar, q_integer
 
@@ -237,6 +237,8 @@ XS_OPS = {
     "scale_s": lambda p: p.scale_s(IntPoly([1, -1])),
     "mul": lambda p: (p + XSPoly.s()) * (p - XSPoly.s()),
     "scalar-mul": lambda p: 3 * p,
+    # X and X^2 D both send the x*s term to x^2*s; the two cancel
+    "apply": lambda p: NormalOp(TWIST_Q, {(1, 0, 0): 1, (2, 1, 0): -1}).apply(p),
 }
 
 
@@ -280,6 +282,12 @@ class TestTermMapResults:
         p, op = XSPoly.x(), NormalOp(TWIST_Q, {(1, 0, 0): 1})
         for call in (lambda: p + op, lambda: op + p, lambda: p - op, lambda: op - p):
             with pytest.raises(TypeError):
+                call()
+
+    def test_twist_mismatch_on_add_and_sub(self):
+        a, b = NormalOp(TWIST_Q, {(1, 0, 0): 1}), NormalOp(TWIST_ONE, {(0, 1, 0): 1})
+        for call in (lambda: a + b, lambda: b + a, lambda: a - b, lambda: b - a):
+            with pytest.raises(TwistMismatch):
                 call()
 
     @pytest.mark.parametrize("key", [(1,), (1, 2, 3), (1, 2, 3, 4)])
