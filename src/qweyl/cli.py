@@ -4,13 +4,15 @@ All behavior is flag-driven (no config files, no environment variables) so
 that golden outputs are reproducible.  Results go to stdout, diagnostics to
 stderr.  Exit codes: 0 success, 1 verification failure, 2 malformed
 arguments, 3 internal error (an unexpected exception, reported as one
-stderr line).
+stderr line).  Where the platform has SIGPIPE, main() dies quietly of it
+when its reader closes the pipe; run() leaves the signal alone.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -181,6 +183,9 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def main() -> None:
+    # a reader that closes the pipe (`| head`) ends the command as it ends any filter
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(run(sys.argv[1:]))
 
 

@@ -21,8 +21,8 @@ Gaussian binomials is one q_product, its denominator is [n+k-j], and its
 one field reduction runs the gcd that bench/test_bench.py expects of a
 `family` request, so moving the division into the q_product waits for a
 benchmark change.  Either way an inexact quotient raises NotPolynomial, at
-the step or term where it fails, so a transcription slip surfaces as an
-error instead of a silently wrong value.
+the step or term where it fails, so a transcription slip fails its case
+in the verify harness instead of giving a silently wrong value.
 lucas_k is the one memo of Lucas coefficients, so each is computed once
 per process.  A(n, k, x) and the closed q-Weyl binomial read one alternating
 sum of them, _lucas_sum, in Z[q]: a_coeff at every l, the closed and

@@ -25,9 +25,9 @@ suite checks this against a naive rewriter that picks random positions.
 NormalOp is polyring's one term map, keyed (X power, D power, s power), plus
 a twist.  Its constructor checks what it is given; sums, negation, scale,
 each ladder rung and the composition itself build through the term map's
-one summing builder and keep the twist.  NormalOp values are the ground
-truth ("oracle") that every closed-form coefficient formula in the families
-module is verified against.
+one summing builder and keep the twist, which equality also reads.
+NormalOp values are the ground truth ("oracle") that every closed-form
+coefficient formula in the families module is verified against.
 """
 
 from __future__ import annotations
@@ -102,14 +102,6 @@ class NormalOp(_TermMap):
     def from_polynomial(cls, p: XSPoly, twist: QScalar) -> "NormalOp":
         """The multiplication operator f(X, s) for a polynomial f(x, s)."""
         return cls(twist, {(a, 0, m): c for (a, m), c in p.terms.items()})
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, NormalOp):
-            return NotImplemented
-        return self.twist == other.twist and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash((self.twist, frozenset(self.terms.items())))
 
     def __add__(self, other) -> "NormalOp":
         if isinstance(other, NormalOp) and self.twist != other.twist:

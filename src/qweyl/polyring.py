@@ -7,7 +7,8 @@ so that a value a memo table shares cannot change.  XSPoly's keys are
 (scalars go through qarith's QScalar.of, so qarith alone decides what one
 is).  Every sum, product and action builds its result with the one
 unchecked builder, _new, which sums (key, coefficient) pairs by key and
-drops zeros; it checks nothing else.
+drops zeros; it checks nothing else.  Equality and hashing, written once,
+read the terms and a NormalOp's twist; an XSPoly never equals a NormalOp.
 
 The q-derivative and the classical derivative act in x only; s is a passive
 parameter throughout.  The q-derivative is defined on the monomial basis,
@@ -77,6 +78,16 @@ class _TermMap:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.terms == other.terms and all(
+            getattr(self, name) == getattr(other, name) for name in type(self).__slots__)
+
+    def __hash__(self) -> int:
+        return hash((frozenset(self.terms.items()),
+                     *[getattr(self, name) for name in type(self).__slots__]))
+
     def __neg__(self: _T) -> _T:
         return self._new((k, -c) for k, c in self.terms.items())
 
@@ -128,14 +139,6 @@ class XSPoly(_TermMap):
     def coefficient(self, a: int, b: int) -> QScalar:
         return self.terms.get((a, b), QSCALAR_ZERO)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, XSPoly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
-
     def __mul__(self, other) -> "XSPoly":
         if isinstance(other, SCALAR_TYPES):
             return self.scale(other)
@@ -145,14 +148,6 @@ class XSPoly(_TermMap):
                          for (a2, b2), c2 in other.terms.items())
 
     __rmul__ = __mul__  # scalars commute with x and s
-
-    def __pow__(self, n: int) -> "XSPoly":
-        if n < 0:
-            raise ValueError("XSPoly power must be nonnegative")
-        result = XSPoly.one()
-        for _ in range(n):
-            result = result * self
-        return result
 
     def shift(self, dx: int, ds: int, coef: Scalar = 1) -> "XSPoly":
         """Multiply by coef * x^dx * s^ds; no resulting exponent may be negative."""

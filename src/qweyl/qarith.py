@@ -6,7 +6,9 @@ built on two value types defined here:
   IntPoly  -- a univariate polynomial in q with arbitrary-precision integer
               coefficients, stored as an ascending coefficient tuple with the
               trailing (leading) zeros stripped.  The zero polynomial is the
-              empty tuple.
+              empty tuple.  IntPoly(iterable) checks outside input; every
+              result of arithmetic, gcd and the q-blocks is built by the one
+              unchecked builder, IntPoly._raw, which only strips zeros.
   QScalar  -- a fraction num/den of two IntPoly values kept in canonical
               form: gcd(num, den) = 1 in Z[q] (integer content and polynomial
               part both removed) and den has positive leading coefficient.
@@ -26,7 +28,7 @@ import itertools
 import math
 import operator
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 
 class NotPolynomial(ValueError):
@@ -37,29 +39,25 @@ class PoleAtPoint(ZeroDivisionError):
     """The denominator of a rational function vanishes at the evaluation point."""
 
 
-def _strip(coeffs: Sequence[int]) -> tuple[int, ...]:
-    n = len(coeffs)
-    while n > 0 and coeffs[n - 1] == 0:
-        n -= 1
-    return tuple(coeffs[:n])
-
-
 class IntPoly:
     """Polynomial in q over the integers; immutable."""
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Iterable[int] = ()):
-        object.__setattr__(self, "coeffs", _strip(tuple(map(operator.index, coeffs))))
+    def __new__(cls, coeffs: Iterable[int] = ()) -> "IntPoly":
+        return cls._raw(tuple(map(operator.index, coeffs)))
 
     def __setattr__(self, name, value):
         raise AttributeError("IntPoly is immutable")
 
     @classmethod
     def _raw(cls, coeffs: tuple[int, ...]) -> "IntPoly":
-        """Bypass the checks for a tuple of ints whose last entry is nonzero."""
+        """The one unchecked builder: a tuple of ints, trailing zeros dropped."""
+        n = len(coeffs)
+        while n and not coeffs[n - 1]:
+            n -= 1
         obj = object.__new__(cls)
-        object.__setattr__(obj, "coeffs", coeffs)
+        object.__setattr__(obj, "coeffs", coeffs[:n])
         return obj
 
     @classmethod
@@ -70,7 +68,7 @@ class IntPoly:
     def q_power(cls, k: int) -> "IntPoly":
         if k < 0:
             raise ValueError("q_power requires a nonnegative exponent")
-        return cls((0,) * k + (1,))
+        return cls._raw((0,) * k + (1,))
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -101,7 +99,7 @@ class IntPoly:
         return hash(self.coeffs) if len(self.coeffs) > 1 else hash(self.lead)
 
     def __neg__(self) -> "IntPoly":
-        return IntPoly(tuple(-c for c in self.coeffs))
+        return IntPoly._raw(tuple(map(operator.neg, self.coeffs)))
 
     def __add__(self, other) -> "IntPoly":
         if isinstance(other, int):
@@ -111,10 +109,7 @@ class IntPoly:
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPoly(out)
+        return IntPoly._raw(tuple(map(operator.add, a, b)) + a[len(b):])
 
     __radd__ = __add__
 
@@ -163,7 +158,6 @@ class IntPoly:
                 for j, cb in enumerate(b, i):
                     out[j] += ca * cb
             body = tuple(out)
-        # both leading coefficients are nonzero, so theirs is: nothing to strip
         return IntPoly._raw((0,) * (va + vb) + body)
 
     __rmul__ = __mul__
@@ -271,7 +265,7 @@ def _divexact(a: IntPoly, b: IntPoly) -> IntPoly:
                 rem[i + j] -= t * bc
     if any(rem):
         raise NotPolynomial(f"({a})/({b}) is not a polynomial")
-    return IntPoly(quot)
+    return IntPoly._raw(tuple(quot))
 
 
 def _pseudo_rem(a: IntPoly, b: IntPoly) -> IntPoly:
@@ -285,7 +279,7 @@ def _pseudo_rem(a: IntPoly, b: IntPoly) -> IntPoly:
         size = len(b.coeffs)
         slots = [sum(a.coeffs[r::size]) for r in range(size)]
         top = slots.pop()
-        return IntPoly([c - top for c in slots])
+        return IntPoly._raw(tuple(c - top for c in slots))
     r = list(a.coeffs)
     db, lb = b.degree, b.lead
     while len(r) - 1 >= db and r:
@@ -297,7 +291,7 @@ def _pseudo_rem(a: IntPoly, b: IntPoly) -> IntPoly:
             r[dr - db + j] -= lr * bc
         while r and r[-1] == 0:
             r.pop()
-    return IntPoly(r)
+    return IntPoly._raw(tuple(r))
 
 
 def _primitive(a: IntPoly) -> IntPoly:
@@ -309,7 +303,7 @@ def _primitive(a: IntPoly) -> IntPoly:
         c = -c
     if c == 1:
         return a
-    return IntPoly(tuple(x // c for x in a.coeffs))
+    return IntPoly._raw(tuple(x // c for x in a.coeffs))
 
 
 def poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
@@ -483,7 +477,7 @@ def q_integer(n: int) -> IntPoly:
     """[n] = 1 + q + ... + q^(n-1); [0] = 0.  Evaluates to n at q = 1."""
     if n < 0:
         raise ValueError("q_integer requires n >= 0")
-    return IntPoly((1,) * n)
+    return IntPoly._raw((1,) * n)
 
 
 def q_product(factors: Iterable[tuple[int, int]], shift: int = 0,
@@ -520,7 +514,6 @@ def q_product(factors: Iterable[tuple[int, int]], shift: int = 0,
                 raise NotPolynomial(f"({base}) * prod (1-q^k)^e over (k, e) in "
                                     f"{sorted(net.items())} is not a polynomial in q")
             del c[-k:]
-    # the leading coefficient is +-lead(base), or an exact quotient's: nonzero
     return IntPoly._raw((0,) * shift + tuple(c))
 
 

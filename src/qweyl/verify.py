@@ -5,6 +5,8 @@ A case checks one degree n: it assembles a left side from the engine
 as term maps.  The harness walks the case's range of n, in ascending order,
 and compares the maps exactly -- no sampling, no tolerance.  Cases are pure
 functions of n, so they are deterministic and safe to run concurrently.
+A NotPolynomial or ZeroDivisionError (such as PoleAtPoint) fails its case
+at that n, as a wrong coefficient does; any other exception propagates.
 
 A seeded fault-injection mode flips the sign of one randomly chosen
 right-hand-side coefficient and must drive the case to a failing report
@@ -38,7 +40,8 @@ from .families import (
 )
 from .opalg import TWIST_Q, affine_factor
 from .polyring import XSPoly
-from .qarith import QScalar, QSCALAR_ZERO, _q_binom, q_integer, q_pow, q_product, to_polynomial
+from .qarith import (NotPolynomial, QScalar, QSCALAR_ZERO, _q_binom, q_integer, q_pow, q_product,
+                     to_polynomial)
 
 Comparison = tuple[Mapping, Mapping]  # (lhs term map, rhs term map)
 
@@ -290,7 +293,10 @@ def verify_case(case_id: str, n_max: int,
                 fault_seed: Optional[int] = None) -> VerificationReport:
     """Check one case for every n from its start up to exactly n_max;
     ValueError for an unknown id, for n_max < 1, or when that range holds
-    no n.  With fault_seed, one right-hand-side coefficient is negated."""
+    no n.  NotPolynomial or ZeroDivisionError while building an n's
+    comparisons fails the case there (term (), lhs "", the error as rhs)
+    unless an earlier n fails.  With fault_seed, one right-hand-side
+    coefficient of the comparisons built is negated."""
     case = _case(case_id)
     n_max = index(n_max)
     if n_max < 1:
@@ -298,17 +304,23 @@ def verify_case(case_id: str, n_max: int,
     if n_max < case.start:
         raise ValueError(f"case {case_id} starts at n = {case.start}, "
                          f"so n_max = {n_max} leaves it no n to check")
-    comparisons = [(n, lhs, rhs) for n in range(case.start, n_max + 1)
-                   for lhs, rhs in case.check(n)]
+    comparisons, broken = [], None
+    for n in range(case.start, n_max + 1):
+        try:
+            comparisons += [(n, lhs, rhs) for lhs, rhs in case.check(n)]
+        except (NotPolynomial, ZeroDivisionError) as exc:
+            broken = FirstFailure(n=n, term=(), lhs="", rhs=f"{type(exc).__name__}: {exc}")
+            break
     if fault_seed is not None:
         slots = [(i, key)
                  for i, (_n, _lhs, rhs) in enumerate(comparisons)
                  for key in sorted(rhs)]
-        if not slots:
+        if slots:
+            idx, key = random.Random(fault_seed).choice(slots)
+            n, lhs, rhs = comparisons[idx]
+            comparisons[idx] = (n, lhs, {**rhs, key: -rhs[key]})
+        elif broken is None:
             raise ValueError(f"case {case_id} has no coefficients to perturb")
-        idx, key = random.Random(fault_seed).choice(slots)
-        n, lhs, rhs = comparisons[idx]
-        comparisons[idx] = (n, lhs, {**rhs, key: -rhs[key]})
     for n, lhs, rhs in comparisons:
         for key in sorted(set(lhs) | set(rhs)):
             lv = lhs.get(key, QSCALAR_ZERO)
@@ -316,7 +328,8 @@ def verify_case(case_id: str, n_max: int,
             if lv != rv:
                 failure = FirstFailure(n=n, term=tuple(key), lhs=str(lv), rhs=str(rv))
                 return VerificationReport(case_id, (case.start, n_max), "fail", failure)
-    return VerificationReport(case_id, (case.start, n_max), "pass", None)
+    return VerificationReport(case_id, (case.start, n_max), "pass" if broken is None else "fail",
+                              broken)
 
 
 # Older names of the one entry point.  They are the same function object, not

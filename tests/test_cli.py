@@ -1,15 +1,18 @@
 """Command-line behavior: golden text, JSON round-trips, exit codes."""
 
 import json
+import os
 import random
+import signal
+import subprocess
 import sys
 import threading
 
 import pytest
 
-from qweyl import cli, families
+from qweyl import cli, families, qarith
 from qweyl.qarith import IntPoly
-from qweyl.verify import FirstFailure, VerificationReport
+from qweyl.verify import CASES, FirstFailure, VerificationReport
 
 
 def run_cli(capsys, *argv):
@@ -191,6 +194,35 @@ class TestVerify:
         code, _, _ = run_cli(capsys, "verify", "--case", "T9")
         assert code == 2
 
+    def test_slip_fails_its_cases(self, capsys, monkeypatch):
+        # a transcription slip [n] -> [n+1] for n > 9 makes h_n's closed form
+        # NotPolynomial at n = 10: the cases that read h_n fail there, and
+        # every case still reports
+        real = qarith._q_int
+
+        def slipped(n, power=1):
+            return real(n + 1 if n > 9 else n, power)
+
+        memos = [f for f in vars(families).values() if hasattr(f, "cache_clear")]
+        monkeypatch.setattr(qarith, "_q_int", slipped)
+        monkeypatch.setattr(families, "_q_int", slipped)
+        for memo in memos:
+            memo.cache_clear()
+        try:
+            code, out, err = run_cli(capsys, "verify", "--json")
+        finally:
+            for memo in memos:
+                memo.cache_clear()
+        assert code == 1
+        reports = json.loads(out)
+        failed = {r["case"]: r["first_failure"] for r in reports if r["status"] == "fail"}
+        assert [r["case"] for r in reports] == list(CASES)
+        assert sorted(failed) == ["dq-2.7", "exp-2.6", "rec-2.8", "rec-3.3", "scale-3"]
+        for ff in failed.values():
+            assert (ff["n"], ff["term"], ff["lhs"]) == (10, [], "")
+            assert ff["rhs"].startswith("NotPolynomial: ")
+        assert "internal error" not in err
+
     def test_selection_with_no_case_to_run(self, capsys):
         # rec-2.8 starts at n = 2, so --n-max 1 leaves nothing to verify
         code, out, err = run_cli(capsys, "verify", "--case", "rec-2.8", "--n-max", "1")
@@ -210,12 +242,44 @@ class TestInternalError:
         assert err.count("\n") == 1
         assert "RuntimeError" in err and "first line second line" in err
 
+    def test_type_error_in_a_case_exits_3(self, capsys, monkeypatch):
+        # only NotPolynomial and ZeroDivisionError fail a case; any other
+        # exception is a defect of the program
+        def broken(n):
+            raise TypeError("not a scalar")
+        monkeypatch.setitem(CASES, "T1", CASES["T1"]._replace(check=broken))
+        code, out, err = run_cli(capsys, "verify", "--case", "T1")
+        assert code == 3
+        assert out == ""
+        assert err == "qweyl verify: internal error: TypeError: not a scalar\n"
+
     def test_keyboard_interrupt_propagates(self, capsys, monkeypatch):
         def interrupted(n):
             raise KeyboardInterrupt
         monkeypatch.setitem(cli.FAMILIES, "hermite", interrupted)
         with pytest.raises(KeyboardInterrupt):
             cli.run(["family", "--name", "hermite", "--n", "3"])
+
+
+class TestClosedPipe:
+    def test_closed_pipe_is_quiet(self):
+        # the weyl table at n = 100 (about 170 KB) overflows the pipe buffer,
+        # so the command is still writing when its reader goes away
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.Popen(
+            [sys.executable, "-c", "from qweyl.cli import main; main()",
+             "table", "--coeff", "weyl", "--n", "100"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.readline() == b"m=0 j=0: 1\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        code = proc.wait(timeout=60)
+        assert err == b""
+        if hasattr(signal, "SIGPIPE"):
+            assert code == -signal.SIGPIPE
 
 
 class TestParsing:

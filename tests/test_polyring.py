@@ -284,6 +284,26 @@ class TestTermMapResults:
             with pytest.raises(TypeError):
                 call()
 
+    @pytest.mark.parametrize("a, b", [
+        (XSPoly.x(), NormalOp(TWIST_Q, {(1, 0, 0): 1})),
+        (NormalOp(TWIST_Q, {(1, 0, 0): 1}), NormalOp(TWIST_ONE, {(1, 0, 0): 1})),
+        (XSPoly.x(), XSPoly.x(2)),
+    ], ids=["kinds", "twists", "terms"])
+    def test_unequal(self, a, b):
+        assert a != b and b != a
+        assert not a == b
+
+    @pytest.mark.parametrize("checked, built", [
+        (XSPoly({(1, 0): 2}), XSPoly.x() + XSPoly.x()),
+        (NormalOp(TWIST_Q, {(1, 0, 0): 2}), NormalOp(TWIST_Q, {(1, 0, 0): 1}).scale(2)),
+        (NormalOp(TWIST_ONE, {(1, 1, 0): 1, (0, 0, 0): 1}),
+         NormalOp(TWIST_ONE, {(0, 1, 0): 1}) * NormalOp(TWIST_ONE, {(1, 0, 0): 1})),
+    ], ids=["XSPoly", "NormalOp-q", "NormalOp-one"])
+    def test_equal_values_hash_equal(self, checked, built):
+        # one value from the checked constructor, one from arithmetic (_new)
+        assert checked == built
+        assert hash(checked) == hash(built)
+
     def test_twist_mismatch_on_add_and_sub(self):
         a, b = NormalOp(TWIST_Q, {(1, 0, 0): 1}), NormalOp(TWIST_ONE, {(0, 1, 0): 1})
         for call in (lambda: a + b, lambda: b + a, lambda: a - b, lambda: b - a):

@@ -22,6 +22,7 @@ from qweyl.qarith import (
     ONE,
     ZERO,
     _divexact,
+    _primitive,
     _pseudo_rem,
     _q_even,
     gauss_binomial,
@@ -137,6 +138,44 @@ class TestIntPoly:
         assert not g.is_zero()
         assert QScalar(a, g).den == ONE
         assert QScalar(b, g).den == ONE
+
+
+# Every IntPoly result is canonical: a tuple of plain ints whose last entry
+# is nonzero, or the empty tuple.  Top coefficients cancel in most of these,
+# so a result that kept a trailing zero would show.
+INTPOLY_RESULTS = {
+    "add": (lambda: IntPoly([1, 2, 3]) + IntPoly([0, 0, -3]), (1, 2)),
+    "add-int": (lambda: 2 + IntPoly([-2]), ()),
+    "sub": (lambda: IntPoly([1, 2, 3]) - IntPoly([5, 2, 3]), (-4,)),
+    "sub-self": (lambda: IntPoly([True, 4]) - IntPoly([1, 4]), ()),
+    "neg": (lambda: -IntPoly([1, 0, -2]), (-1, 0, 2)),
+    "mul": (lambda: IntPoly([0, 1, -1]) * IntPoly([2, 0, 1]), (0, 2, -2, 1, -1)),
+    "mul-q-integer": (lambda: IntPoly([1, 1]) * IntPoly([2, 0, 1]), (2, 2, 1, 1)),
+    "pow": (lambda: IntPoly([1, -1]) ** 2, (1, -2, 1)),
+    "pow-zero": (lambda: IntPoly([3, 1]) ** 0, (1,)),
+    "divexact": (lambda: _divexact(IntPoly([-1, 0, 4]), IntPoly([1, 2])), (-1, 2)),
+    "divexact-q-integer": (lambda: _divexact(IntPoly([1, 0, 0, -1]), q_integer(3)), (1, -1)),
+    "pseudo_rem-q-integer": (lambda: _pseudo_rem(IntPoly([1, 1, 1, 1]), q_integer(3)), (1,)),
+    "pseudo_rem-q-integer-zero": (lambda: _pseudo_rem(q_integer(6), q_integer(3)), ()),
+    "pseudo_rem": (lambda: _pseudo_rem(IntPoly([1, 0, 1]), IntPoly([1, 2])), (5,)),
+    "primitive": (lambda: _primitive(IntPoly([-2, 0, -4])), (1, 0, 2)),
+    "q_product": (lambda: q_product([(2, 1), (1, -1)], 1), (0, 1, 1)),
+    "q_product-divides": (lambda: q_product([(1, -1)], base=IntPoly([1, 0, -1])), (1, 1)),
+    "q_integer": (lambda: q_integer(3), (1, 1, 1)),
+    "q_integer-zero": (lambda: q_integer(0), ()),
+    "q_power": (lambda: IntPoly.q_power(2), (0, 0, 1)),
+}
+
+
+class TestIntPolyResults:
+    @pytest.mark.parametrize("make, coeffs", INTPOLY_RESULTS.values(), ids=list(INTPOLY_RESULTS))
+    def test_result_is_canonical(self, make, coeffs):
+        result = make()
+        assert type(result) is IntPoly
+        assert type(result.coeffs) is tuple
+        assert all(type(c) is int for c in result.coeffs)
+        assert not result.coeffs or result.coeffs[-1] != 0
+        assert result.coeffs == coeffs
 
 
 def horner(p, r):

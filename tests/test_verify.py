@@ -10,7 +10,8 @@ import sys
 import pytest
 
 import qweyl
-from qweyl.qarith import QSCALAR_ZERO, q_pow
+from qweyl.families import ONE_MINUS_Q
+from qweyl.qarith import QSCALAR_ZERO, QScalar, q_pow
 from qweyl.verify import (
     ALL_CASE_IDS,
     CASES,
@@ -143,6 +144,28 @@ class TestFaultInjection:
                 report, = run_cases([case_id])
                 assert report.status == "fail", (name, fault_n)
                 assert report.first_failure.n == fault_n, (name, fault_n)
+
+    def test_pole_fails_its_case(self, monkeypatch):
+        # q-Weyl binomials of one n that kept a factor 1/(1-q) have a pole at
+        # q = 1, so q1-collapse fails at that n once the n's before it agree
+        real, pole_at = qweyl.verify.qweyl_binomial, [4]
+
+        def slipped(n, m, l, path="closed"):
+            value = real(n, m, l, path)
+            return QScalar(value, ONE_MINUS_Q) if n == pole_at[0] else value
+
+        monkeypatch.setattr(qweyl.verify, "qweyl_binomial", slipped)
+        pole = FirstFailure(n=4, term=(), lhs="",
+                            rhs="PoleAtPoint: denominator -1+q vanishes at q = 1")
+        assert verify_case("q1-collapse", 6) == ("q1-collapse", (1, 6), "fail", pole)
+        # a fault seed flips a coefficient of an n before the pole
+        assert verify_case("q1-collapse", 6, fault_seed=3).first_failure.n < 4
+        # with no n before it, nothing is flipped and the pole is the failure
+        pole_at[0] = 2
+        assert verify_case("q1-collapse", 1).passed
+        assert verify_case("q1-collapse", 6, fault_seed=3).first_failure.n == 1
+        pole_at[0] = 1
+        assert verify_case("q1-collapse", 6, fault_seed=3).first_failure == pole._replace(n=1)
 
     def test_deterministic(self):
         a = verify_theorem("T1", 4, fault_seed=42)
