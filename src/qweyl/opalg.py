@@ -26,6 +26,7 @@ NormalOp is polyring's one term map, keyed (X power, D power, s power), plus
 a twist.  Its constructor checks what it is given; sums, negation, scale,
 each ladder rung and the composition itself build through the term map's
 one summing builder and keep the twist, which equality also reads.
+Subtraction, from qarith's one value base _Value, runs NormalOp's +.
 NormalOp values are the ground truth ("oracle") that every closed-form
 coefficient formula in the families module is verified against.
 """
@@ -125,8 +126,6 @@ class NormalOp(_TermMap):
         return self._new(((a1 + a2, b2, m1 + m2), c1 * c2)
                          for (a1, b1, m1), c1 in self.terms.items()
                          for (a2, b2, m2), c2 in ladder[b1].terms.items())
-
-    __rmul__ = __mul__  # scalars are central
 
     def apply(self, p: XSPoly) -> XSPoly:
         """The one operator action: X multiplies by x, D is the q-derivative,

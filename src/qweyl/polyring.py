@@ -2,13 +2,14 @@
 
 XSPoly and opalg's NormalOp are the two kinds of one term map, _TermMap: a
 map from a key of nonnegative int exponents to a nonzero QScalar, read-only
-so that a value a memo table shares cannot change.  XSPoly's keys are
-(x-degree, s-degree).  The public constructors check what they are given
-(scalars go through qarith's QScalar.of, so qarith alone decides what one
-is).  Every sum, product and action builds its result with the one
-unchecked builder, _new, which sums (key, coefficient) pairs by key and
-drops zeros; it checks nothing else.  Equality and hashing, written once,
-read the terms and a NormalOp's twist; an XSPoly never equals a NormalOp.
+and immutable (qarith's one value base, _Value), so that a value a memo
+table shares cannot change.  XSPoly's keys are (x-degree, s-degree).  The
+public constructors check what they are given (scalars go through qarith's
+QScalar.of, so qarith alone decides what one is).  Every sum, product and
+action builds its result with the one unchecked builder, _new, which sums
+(key, coefficient) pairs by key and drops zeros; it checks nothing else.
+Equality and hashing, written once, read the terms and a NormalOp's twist;
+an XSPoly never equals a NormalOp.
 
 The q-derivative and the classical derivative act in x only; s is a passive
 parameter throughout.  The q-derivative is defined on the monomial basis,
@@ -30,6 +31,7 @@ from .qarith import (
     QSCALAR_ZERO,
     SCALAR_TYPES,
     Scalar,
+    _Value,
     _rational,
     q_integer,
     q_pow,
@@ -39,7 +41,7 @@ Key = tuple[int, int]
 _T = TypeVar("_T", bound="_TermMap")
 
 
-class _TermMap:
+class _TermMap(_Value):
     """The term map behind XSPoly and NormalOp; a key holds _WIDTH exponents."""
 
     __slots__ = ("terms",)
@@ -57,9 +59,6 @@ class _TermMap:
             if c:
                 clean[key] = c
         object.__setattr__(self, "terms", MappingProxyType(clean))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def _new(self: _T, terms: Iterable[tuple[tuple[int, ...], QScalar]]) -> _T:
         """A value of this type with this value's other slots (a NormalOp's
@@ -95,11 +94,6 @@ class _TermMap:
         if not isinstance(other, type(self)):
             return NotImplemented
         return self._new(chain(self.terms.items(), other.terms.items()))
-
-    def __sub__(self: _T, other) -> _T:
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return self + (-other)
 
     def scale(self: _T, c: Scalar) -> _T:
         c = QScalar.of(c)
@@ -146,8 +140,6 @@ class XSPoly(_TermMap):
             return NotImplemented
         return self._new(((a1 + a2, b1 + b2), c1 * c2) for (a1, b1), c1 in self.terms.items()
                          for (a2, b2), c2 in other.terms.items())
-
-    __rmul__ = __mul__  # scalars commute with x and s
 
     def shift(self, dx: int, ds: int, coef: Scalar = 1) -> "XSPoly":
         """Multiply by coef * x^dx * s^ds; no resulting exponent may be negative."""

@@ -1,7 +1,10 @@
 """Exact arithmetic in Z[q] and its fraction field.
 
 Everything downstream (polynomials in x and s, operator coefficients) is
-built on two value types defined here:
+built on two value types defined here.  They and polyring's term maps share
+one private base, _Value, which refuses every attribute write and delete,
+derives subtraction and the reflected + and * from the type's own + and *,
+and copies and pickles a value through its JSON form:
 
   IntPoly  -- a univariate polynomial in q with arbitrary-precision integer
               coefficients, stored as an ascending coefficient tuple with the
@@ -39,7 +42,39 @@ class PoleAtPoint(ZeroDivisionError):
     """The denominator of a rational function vanishes at the evaluation point."""
 
 
-class IntPoly:
+class _Value:
+    """The one base of every value type; builders write slots through
+    object.__setattr__, and a subclass's * commutes with its scalars."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return type(self).from_json, (self.to_json(),)
+
+    def __sub__(self, other):
+        try:
+            other = -other
+        except TypeError:
+            return NotImplemented
+        return self.__add__(other)
+
+    def __rsub__(self, other):
+        return (-self).__add__(other)
+
+    def __radd__(self, other):
+        return self.__add__(other)
+
+    def __rmul__(self, other):
+        return self.__mul__(other)
+
+
+class IntPoly(_Value):
     """Polynomial in q over the integers; immutable."""
 
     __slots__ = ("coeffs",)
@@ -47,8 +82,8 @@ class IntPoly:
     def __new__(cls, coeffs: Iterable[int] = ()) -> "IntPoly":
         return cls._raw(tuple(map(operator.index, coeffs)))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("IntPoly is immutable")
+    def __reduce__(self):
+        return IntPoly, (self.coeffs,)
 
     @classmethod
     def _raw(cls, coeffs: tuple[int, ...]) -> "IntPoly":
@@ -111,16 +146,6 @@ class IntPoly:
             a, b = b, a
         return IntPoly._raw(tuple(map(operator.add, a, b)) + a[len(b):])
 
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "IntPoly":
-        if not isinstance(other, (IntPoly, int)):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "IntPoly":
-        return (-self) + other
-
     def __mul__(self, other) -> "IntPoly":
         if isinstance(other, int):
             other = IntPoly.const(other)
@@ -159,8 +184,6 @@ class IntPoly:
                     out[j] += ca * cb
             body = tuple(out)
         return IntPoly._raw((0,) * (va + vb) + body)
-
-    __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "IntPoly":
         if n < 0:
@@ -319,7 +342,7 @@ def poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
     return pa * c
 
 
-class QScalar:
+class QScalar(_Value):
     """Element of the field of rational functions in q, in canonical form."""
 
     __slots__ = ("num", "den")
@@ -340,9 +363,6 @@ class QScalar:
                 num, den = -num, -den
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QScalar is immutable")
 
     @classmethod
     def _raw(cls, num: IntPoly, den: IntPoly) -> "QScalar":
@@ -396,16 +416,6 @@ class QScalar:
         return QScalar(self.num * other.den + other.num * self.den,
                        self.den * other.den)
 
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "QScalar":
-        if not isinstance(other, SCALAR_TYPES):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "QScalar":
-        return (-self) + other
-
     def __mul__(self, other) -> "QScalar":
         if not isinstance(other, SCALAR_TYPES):
             return NotImplemented
@@ -413,8 +423,6 @@ class QScalar:
         if self.den == ONE and other.den == ONE:
             return QScalar._raw(self.num * other.num, ONE)
         return QScalar(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
 
     def __truediv__(self, other) -> "QScalar":
         if not isinstance(other, SCALAR_TYPES):

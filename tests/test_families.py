@@ -1,14 +1,16 @@
 """Polynomial families and their closed-form coefficients, cross-checked
 against the rewriting engine."""
 
+import copy
 import math
+import pickle
 import sys
 import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qweyl import families, opalg, qarith
+from qweyl import cli, families, opalg, qarith
 from qweyl.families import (
     OPERATORS,
     QWEYL_PATHS,
@@ -121,6 +123,33 @@ class TestReadOnlyTerms:
         assert _xsd_power(2) == built("qpower", 2)
         assert operator_row("qodd", 3) == built("qodd", 3)
         assert hermite(3) == XSPoly({(3, 0): 1, (1, 1): 3})
+
+    def test_memoized_row_keeps_its_twist(self):
+        with pytest.raises(AttributeError, match="^NormalOp is immutable$"):
+            del operator_row("qpower", 2).twist
+        assert cli.run(["expand", "--kind", "qpower", "--n", "3"]) == 0
+
+
+class TestCopyAndPickle:
+    @pytest.mark.parametrize("make", [
+        lambda: ZERO,
+        lambda: QScalar(IntPoly([0, 1]), IntPoly([1, 1])),
+        lambda: h_poly(6),
+        lambda: operator_row("qdesc", 6),
+        lambda: operator_row("classical", 5),
+        lambda: apply_exp_q2(XSPoly.x(6)),
+        lambda: NormalOp(QScalar(1, 2), {(1, 1, 0): 3, (0, 0, 2): IntPoly([1, -1])}),
+    ], ids=["IntPoly-zero", "QScalar", "XSPoly", "NormalOp-qdesc", "NormalOp-classical",
+            "apply_exp_q2", "NormalOp-half"])
+    @pytest.mark.parametrize("round_trip", [
+        copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v)),
+    ], ids=["copy", "deepcopy", "pickle"])
+    def test_round_trip_gives_an_equal_value(self, make, round_trip):
+        value = make()
+        result = round_trip(value)
+        assert type(result) is type(value)
+        assert result == value
+        assert hash(result) == hash(value)
 
 
 class TestHermite:

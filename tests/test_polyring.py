@@ -254,6 +254,7 @@ OP_OPS = {
     "scale-zero": lambda op: op.scale(0),
     "mul": lambda op: (op + _d(op)) * (op - _d(op)),
     "scalar-mul": lambda op: op * 3,
+    "scalar-rmul": lambda op: 2 * op,
 }
 OPERANDS = [pytest.param(XS, fn, id=f"XSPoly-{name}") for name, fn in XS_OPS.items()] + [
     pytest.param(NormalOp(twist, {(True, 0, 0): 1, (0, 1, 1): 2, (2, 2, False): IntPoly([0, 1])}),
@@ -271,6 +272,11 @@ class TestTermMapResults:
             result.terms[(0,) * width] = QScalar(1)
         with pytest.raises(AttributeError):
             result.terms = {}
+        with pytest.raises(AttributeError, match=f"^{type(result).__name__} is immutable$"):
+            del result.terms
+        if isinstance(result, NormalOp):
+            with pytest.raises(AttributeError, match="^NormalOp is immutable$"):
+                del result.twist
         for key, c in result.terms.items():
             assert type(key) is tuple and len(key) == width
             assert all(type(e) is int for e in key)
@@ -283,6 +289,15 @@ class TestTermMapResults:
         for call in (lambda: p + op, lambda: op + p, lambda: p - op, lambda: op - p):
             with pytest.raises(TypeError):
                 call()
+
+    @pytest.mark.parametrize("call", [
+        lambda: IntPoly([1]) - "a",
+        lambda: XSPoly.x() - 3,
+        lambda: 3 - XSPoly.x(),
+    ], ids=["IntPoly-str", "XSPoly-int", "int-XSPoly"])
+    def test_unsupported_subtraction_refused(self, call):
+        with pytest.raises(TypeError, match=r"unsupported operand type\(s\) for -"):
+            call()
 
     @pytest.mark.parametrize("a, b", [
         (XSPoly.x(), NormalOp(TWIST_Q, {(1, 0, 0): 1})),

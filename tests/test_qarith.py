@@ -147,10 +147,12 @@ INTPOLY_RESULTS = {
     "add": (lambda: IntPoly([1, 2, 3]) + IntPoly([0, 0, -3]), (1, 2)),
     "add-int": (lambda: 2 + IntPoly([-2]), ()),
     "sub": (lambda: IntPoly([1, 2, 3]) - IntPoly([5, 2, 3]), (-4,)),
+    "sub-from-int": (lambda: 3 - IntPoly([1, 1]), (2, -1)),
     "sub-self": (lambda: IntPoly([True, 4]) - IntPoly([1, 4]), ()),
     "neg": (lambda: -IntPoly([1, 0, -2]), (-1, 0, 2)),
     "mul": (lambda: IntPoly([0, 1, -1]) * IntPoly([2, 0, 1]), (0, 2, -2, 1, -1)),
     "mul-q-integer": (lambda: IntPoly([1, 1]) * IntPoly([2, 0, 1]), (2, 2, 1, 1)),
+    "int-mul": (lambda: 3 * IntPoly([0, 1]), (0, 3)),
     "pow": (lambda: IntPoly([1, -1]) ** 2, (1, -2, 1)),
     "pow-zero": (lambda: IntPoly([3, 1]) ** 0, (1,)),
     "divexact": (lambda: _divexact(IntPoly([-1, 0, 4]), IntPoly([1, 2])), (-1, 2)),
@@ -176,6 +178,8 @@ class TestIntPolyResults:
         assert all(type(c) is int for c in result.coeffs)
         assert not result.coeffs or result.coeffs[-1] != 0
         assert result.coeffs == coeffs
+        with pytest.raises(AttributeError, match="^IntPoly is immutable$"):
+            del result.coeffs
 
 
 def horner(p, r):
@@ -497,6 +501,18 @@ class TestQScalar:
         assert half ** 2 == QScalar(1, 4)
         with pytest.raises(ZeroDivisionError):
             half / QScalar(0)
+        # IntPoly's - declines a QScalar, so the QScalar's reflected - runs
+        assert IntPoly([1, 1]) - QScalar(Q, IntPoly([1, 1])) == QScalar(
+            IntPoly([1, 1, 1]), IntPoly([1, 1]))
+
+    @pytest.mark.parametrize("name", ["num", "den"])
+    def test_slots_cannot_be_set_or_deleted(self, name):
+        q = QScalar(Q, IntPoly([1, 1]))
+        with pytest.raises(AttributeError, match="^QScalar is immutable$"):
+            setattr(q, name, ONE)
+        with pytest.raises(AttributeError, match="^QScalar is immutable$"):
+            delattr(q, name)
+        assert q == QScalar(Q, IntPoly([1, 1]))
 
     def test_equal_values_hash_equal(self):
         # values that compare equal across int, IntPoly and QScalar must
